@@ -77,15 +77,15 @@ object GnnRecommender {
     */
   def extractTableOpExamples(store: TripleStore,
                              opOfFunction: Map[String, String]): Seq[(String, String)] = {
-    val bindings = store.select(Seq(
+    val bindings = store.index.select(Seq(
       TriplePattern(Term("?s1"), Term.Lit(Lids.Prop.ReadsTable), Term("?t"),
                     graph = Some(Term.Var("g"))),
       TriplePattern(Term("?s2"), Term.Lit(Lids.Prop.CallsFunction), Term("?f"),
                     graph = Some(Term.Var("g"))),
-    )).select("t", "f").collect()
-    bindings.toSeq.flatMap { r =>
-      val tableId = r.getString(0).stripPrefix(Lids.ResourcePrefix)
-      opOfFunction.get(r.getString(1)).map(op => (tableId, op))
+    ))
+    bindings.flatMap { r =>
+      val tableId = r.getAs[String]("t").stripPrefix(Lids.ResourcePrefix)
+      opOfFunction.get(r.getAs[String]("f")).map(op => (tableId, op))
     }
   }
 
@@ -94,15 +94,15 @@ object GnnRecommender {
     */
   def extractColumnOpExamples(store: TripleStore,
                               opOfFunction: Map[String, String]): Seq[(String, String)] = {
-    val bindings = store.select(Seq(
+    val bindings = store.index.select(Seq(
       TriplePattern(Term("?s"), Term.Lit(Lids.Prop.ReadsColumn), Term("?c"),
                     graph = Some(Term.Var("g"))),
       TriplePattern(Term("?s"), Term.Lit(Lids.Prop.CallsFunction), Term("?f"),
                     graph = Some(Term.Var("g"))),
-    )).select("c", "f").collect()
-    bindings.toSeq.flatMap { r =>
-      val columnId = r.getString(0).stripPrefix(Lids.ResourcePrefix)
-      opOfFunction.get(r.getString(1)).map(op => (columnId, op))
+    ))
+    bindings.flatMap { r =>
+      val columnId = r.getAs[String]("c").stripPrefix(Lids.ResourcePrefix)
+      opOfFunction.get(r.getAs[String]("f")).map(op => (columnId, op))
     }
   }
 

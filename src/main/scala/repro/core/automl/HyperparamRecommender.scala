@@ -43,7 +43,7 @@ object HyperparamRecommender {
   def paramsUsedWith(store: TripleStore, tableId: String, estimator: String,
                      topPipelines: Int): Seq[(String, String)] = {
     val tableUri = Lids.ResourcePrefix + tableId
-    val rows = store.select(Seq(
+    val rows = store.index.select(Seq(
       TriplePattern(Term("?s1"), Term.Lit(Lids.Prop.ReadsTable), Term.Lit(tableUri),
                     graph = Some(Term.Var("g"))),
       TriplePattern(Term("?p"), Term.Lit(Lids.Prop.HasVotes), Term("?votes"),
@@ -52,10 +52,11 @@ object HyperparamRecommender {
                     Term.Lit(Lids.libraryUri(estimator)), graph = Some(Term.Var("g"))),
       TriplePattern(Term("?s2"), Term.Lit(Lids.Prop.HasParameter), Term("?param"),
                     graph = Some(Term.Var("g"))),
-    )).select("g", "votes", "param").distinct().collect()
+    ))
 
-    rows.toSeq
-      .map(r => (r.getString(0), r.getString(1).toInt, r.getString(2)))
+    rows
+      .map(r => (r.getAs[String]("g"), r.getAs[String]("votes").toInt, r.getAs[String]("param")))
+      .distinct
       .groupBy(_._1).toSeq
       .sortBy { case (g, entries) => (-entries.head._2, g) } // top-voted first
       .take(topPipelines)

@@ -16,16 +16,16 @@ object JoinSearch {
 
   /** Adjacency: tableId → joinable neighbour tableIds with best weight. */
   def joinableAdjacency(store: TripleStore): Map[String, Seq[(String, Double)]] = {
-    val rows = store.select(Seq(
+    val rows = store.index.select(Seq(
       TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.ContentSimilarity), Term("?c2"),
                     weightVar = Some("w")),
       TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.IsPartOf), Term("?t1")),
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
-    )).select("t1", "t2", "w").collect()
-    rows.toSeq
-      .map(r => (r.getString(0).stripPrefix(Lids.ResourcePrefix),
-                 r.getString(1).stripPrefix(Lids.ResourcePrefix),
-                 r.getDouble(2)))
+    ))
+    rows
+      .map(r => (r.getAs[String]("t1").stripPrefix(Lids.ResourcePrefix),
+                 r.getAs[String]("t2").stripPrefix(Lids.ResourcePrefix),
+                 r.getAs[Double]("w")))
       .filter { case (t1, t2, _) => t1 != t2 }
       .groupBy(_._1)
       .map { case (t1, es) =>

@@ -29,26 +29,16 @@ object KglidsDiscovery {
                       th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): Prepared = {
     // cache: the metadata branch and both sides of the pairwise join
     // reuse the profiles — without this, profiling reruns 3×
-    def t[A](phase: String)(body: => A): A = {
-      val t0 = System.nanoTime()
-      val a  = body
-      Console.err.println(f"[KglidsDiscovery] $phase: ${(System.nanoTime() - t0) / 1e9}%.2f s")
-      a
-    }
-    val profiles = t("profile") {
-      val p = DataProfiler.profileCells(spark, cells).cache(); p.count(); p
-    }
-    val store = t("schema+store") {
-      val s = LidsGraphBuilder.buildDatasetGraph(spark, profiles, th)
-      s.df.count() // force materialization — preprocessing ends here
-      s
-    }
-    val prepared = t("index-load")(Prepared(store, LocalGraphIndex.fromStore(store)))
+    val profiles = DataProfiler.profileCells(spark, cells).cache()
+    profiles.count()
+    val store = LidsGraphBuilder.buildDatasetGraph(spark, profiles, th)
+    // loading the index materializes the cached store: preprocessing ends here
+    val prepared = Prepared(store, LocalGraphIndex.fromStore(store))
     profiles.unpersist()
     prepared
   }
 
   /** Online top-k unionable-table query (tableId = "<lake>/<table>"). */
   def queryUnionable(p: Prepared, tableId: String, k: Int): Seq[(String, Double)] =
-    UnionSearch.topKUnionableIndexed(p.index, tableId, k)
+    UnionSearch.topKUnionable(p.index, tableId, k)
 }

@@ -77,13 +77,12 @@ object PredefinedOps {
     */
   def getPipelinesCallingLibraries(store: TripleStore, paths: Seq[String]): DataFrame = {
     require(paths.nonEmpty)
-    val callPatterns = paths.map { p =>
-      store.select(Seq(
+    val pipelines = paths.map { p =>
+      store.index.select(Seq(
         TriplePattern(Term("?s"), Term.Lit(Lids.Prop.CallsFunction),
                       Term.Lit(Lids.libraryUri(p)), graph = Some(Term.Var("g"))),
-      )).select("g").distinct()
-    }
-    val pipelines = callPatterns.reduce(_.join(_, Seq("g"), "inner"))
+      )).map(_.getAs[String]("g")).toSet
+    }.reduce(_ intersect _)
     val meta = store.select(Seq(
       TriplePattern(Term("?p"), Term.Lit(Lids.Prop.IsWrittenBy), Term("?author"),
                     graph = Some(Term.Var("g"))),
@@ -92,7 +91,7 @@ object PredefinedOps {
       TriplePattern(Term("?p"), Term.Lit(Lids.Prop.AboutDataset), Term("?dataset"),
                     graph = Some(Term.Var("g"))),
     ))
-    pipelines.join(meta, Seq("g"), "inner")
+    meta.filter(col("g").isin(pipelines.toSeq: _*))
       .select(
         regexp_replace(col("p"), Lids.ResourcePrefix, "").as("pipeline"),
         col("author"),

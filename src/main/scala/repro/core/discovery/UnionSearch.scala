@@ -1,92 +1,59 @@
 package repro.core.discovery
 
 import repro.core.graph.Lids
-import repro.substrate.rdf.{LocalGraphIndex, Term, TriplePattern, TripleStore}
+import repro.substrate.rdf.{LocalGraphIndex, Term, TriplePattern}
 
 /** Unionable-table discovery over the LiDS graph (§3.3, §6.1).
   *
   * Two tables are unionable when one or more column pairs carry label or
   * content similarity edges; the table score combines how many of the
   * query table's columns match and how strongly (mean over query columns
-  * of the best similarity to the candidate). Queries are BGP joins over
-  * the similarity + hierarchy predicates — the SPARQL-against-built-in-
-  * indices path the paper credits for its query speed.
+  * of the best similarity to the candidate). Queries are BGPs over the
+  * similarity + hierarchy predicates, answered by the store's
+  * [[LocalGraphIndex]] — the SPARQL-against-built-in-indices path the
+  * paper credits for its query speed, and whose latency Table 2 reports.
   */
 object UnionSearch {
 
   /** Column-level matches: (queryColumnId, candidateColumnId,
     * candidateTableId, weight) for one predicate.
     */
-  def columnMatches(store: TripleStore, tableId: String,
+  def columnMatches(index: LocalGraphIndex, tableId: String,
                     predicate: String): Seq[(String, String, String, Double)] = {
     val tUri = Lids.ResourcePrefix + tableId
-    store.select(Seq(
+    index.select(Seq(
       TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.IsPartOf), Term.Lit(tUri)),
       TriplePattern(Term("?c1"), Term.Lit(predicate), Term("?c2"), weightVar = Some("w")),
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
-    )).select("c1", "c2", "t2", "w").collect().toSeq.map { r =>
-      (r.getString(0).stripPrefix(Lids.ResourcePrefix),
-       r.getString(1).stripPrefix(Lids.ResourcePrefix),
-       r.getString(2).stripPrefix(Lids.ResourcePrefix),
-       r.getDouble(3))
+    )).map { r =>
+      (r.getAs[String]("c1").stripPrefix(Lids.ResourcePrefix),
+       r.getAs[String]("c2").stripPrefix(Lids.ResourcePrefix),
+       r.getAs[String]("t2").stripPrefix(Lids.ResourcePrefix),
+       r.getAs[Double]("w"))
     }
   }
 
   /** Number of columns of a table. */
-  def columnCount(store: TripleStore, tableId: String): Long = {
+  def columnCount(index: LocalGraphIndex, tableId: String): Int = {
     val tUri = Lids.ResourcePrefix + tableId
-    store.select(Seq(
+    index.select(Seq(
       TriplePattern(Term("?c"), Term.Lit(Lids.Prop.IsPartOf), Term.Lit(tUri)),
-    )).distinct().count()
+    )).distinct.size
   }
 
   /** Top-k unionable tables for a query table, with scores in [0, 1]. */
-  def topKUnionable(store: TripleStore, tableId: String, k: Int): Seq[(String, Double)] = {
+  def topKUnionable(index: LocalGraphIndex, tableId: String, k: Int): Seq[(String, Double)] = {
     val matches =
-      columnMatches(store, tableId, Lids.Prop.LabelSimilarity) ++
-        columnMatches(store, tableId, Lids.Prop.ContentSimilarity)
+      columnMatches(index, tableId, Lids.Prop.LabelSimilarity) ++
+        columnMatches(index, tableId, Lids.Prop.ContentSimilarity)
     if (matches.isEmpty) return Seq.empty
-    val nCols = math.max(1L, columnCount(store, tableId)).toDouble
+    val nCols = math.max(1, columnCount(index, tableId)).toDouble
     matches
       .groupBy(_._3) // candidate table
       .map { case (t2, ms) =>
         // per query column: best similarity to this candidate
         val perQueryCol = ms.groupBy(_._1).map { case (_, g) => g.map(_._4).max }
         t2 -> perQueryCol.sum / nCols
-      }
-      .toSeq
-      .sortBy { case (t2, s) => (-s, t2) }
-      .take(k)
-  }
-
-  /** Same semantics as [[topKUnionable]] over the loaded
-    * [[LocalGraphIndex]] — the RDF-engine-served query path whose
-    * latency Table 2 reports. Tests assert both paths agree.
-    */
-  def topKUnionableIndexed(index: LocalGraphIndex, tableId: String,
-                           k: Int): Seq[(String, Double)] = {
-    val tUri = Lids.ResourcePrefix + tableId
-    val queryCols = index.edgesOf(Lids.Prop.IsPartOf)
-      .collect { case (c, o, _) if o == tUri => c }
-      .distinct
-    if (queryCols.isEmpty) return Seq.empty
-
-    val best = scala.collection.mutable.Map.empty[(String, String), Double]
-    queryCols.foreach { c1 =>
-      val matches =
-        index.objectsOf(c1, Lids.Prop.LabelSimilarity) ++
-          index.objectsOf(c1, Lids.Prop.ContentSimilarity)
-      matches.foreach { case (c2, w) =>
-        index.objectsOf(c2, Lids.Prop.IsPartOf).foreach { case (t2, _) =>
-          val key = (c1, t2)
-          if (w > best.getOrElse(key, 0.0)) best(key) = w
-        }
-      }
-    }
-    best.toSeq
-      .groupBy { case ((_, t2), _) => t2 }
-      .map { case (t2, entries) =>
-        t2.stripPrefix(Lids.ResourcePrefix) -> entries.map(_._2).sum / queryCols.size
       }
       .toSeq
       .sortBy { case (t2, s) => (-s, t2) }

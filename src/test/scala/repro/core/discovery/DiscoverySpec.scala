@@ -1,7 +1,7 @@
 package repro.core.discovery
 
-import repro.SparkSpec
-import repro.core.graph.{LidsGraphBuilder, SchemaBuilder}
+import repro.{Oracle, SparkSpec}
+import repro.core.graph.{Lids, LidsGraphBuilder, SchemaBuilder}
 import repro.core.profile.DataProfiler
 import repro.data.LakeBench
 import repro.substrate.rdf.LocalGraphIndex
@@ -25,12 +25,12 @@ class DiscoverySpec extends SparkSpec {
 
   test("top-k unionable recovers the ground-truth family") {
     val q   = lake.queryTables.head
-    val got = UnionSearch.topKUnionableIndexed(index, tid(q), 2).map(_._1).toSet
+    val got = UnionSearch.topKUnionable(index, tid(q), 2).map(_._1).toSet
     val gt  = lake.unionableGroundTruth(q).map(tid)
     assert(got == gt, s"expected $gt got $got")
   }
   test("unionable scores are in (0, 1] and sorted descending") {
-    val res = UnionSearch.topKUnionableIndexed(index, tid(lake.queryTables.head), 10)
+    val res = UnionSearch.topKUnionable(index, tid(lake.queryTables.head), 10)
     assert(res.nonEmpty)
     assert(res.forall { case (_, s) => s > 0 && s <= 1.0 + 1e-9 })
     assert(res.map(_._2) == res.map(_._2).sorted.reverse)
@@ -38,17 +38,33 @@ class DiscoverySpec extends SparkSpec {
   test("ground-truth family ranks above other families for every query") {
     lake.queryTables.foreach { q =>
       val gt  = lake.unionableGroundTruth(q).map(tid)
-      val res = UnionSearch.topKUnionableIndexed(index, tid(q), lake.tables.size)
+      val res = UnionSearch.topKUnionable(index, tid(q), lake.tables.size)
       val topGt = res.take(gt.size).map(_._1).toSet
       assert((topGt intersect gt).nonEmpty, s"family of $q must appear at the top")
     }
   }
-  test("BGP path and indexed path agree") {
-    val q = tid(lake.queryTables.head)
-    val viaBgp   = UnionSearch.topKUnionable(store, q, 5)
-    val viaIndex = UnionSearch.topKUnionableIndexed(index, q, 5)
-    assert(viaBgp.map(_._1) == viaIndex.map(_._1))
-    viaBgp.zip(viaIndex).foreach { case ((_, a), (_, b)) => assert(math.abs(a - b) < 1e-9) }
+  test("unionable scores match the DuckDB oracle") {
+    import spark.implicits._
+    val q   = tid(lake.queryTables.head)
+    val got = UnionSearch.topKUnionable(index, q, lake.tables.size)
+    assert(got.nonEmpty)
+    // score = Σ over the query's columns of the best label/content
+    // similarity to a column of the candidate, / number of query columns
+    Oracle.assertEquivalent(got.toDF("table_id", "score"),
+      s"""WITH q AS (SELECT DISTINCT subject AS c FROM triples
+         |           WHERE predicate = '${Lids.Prop.IsPartOf}'
+         |             AND obj = '${Lids.ResourcePrefix}$q'),
+         |best AS (SELECT m.subject AS c, t.obj AS t2, MAX(CAST(m.weight AS DOUBLE)) AS w
+         |         FROM triples m JOIN triples t
+         |           ON t.subject = m.obj AND t.predicate = '${Lids.Prop.IsPartOf}'
+         |         WHERE m.predicate IN ('${Lids.Prop.LabelSimilarity}',
+         |                               '${Lids.Prop.ContentSimilarity}')
+         |           AND m.subject IN (SELECT c FROM q)
+         |         GROUP BY m.subject, t.obj)
+         |SELECT replace(t2, '${Lids.ResourcePrefix}', '') AS table_id,
+         |       SUM(w) / (SELECT COUNT(*) FROM q) AS score
+         |FROM best GROUP BY t2""".stripMargin,
+      "triples" -> store.df)
   }
   test("joinable tables share content-similar columns") {
     val q   = lake.queryTables.head

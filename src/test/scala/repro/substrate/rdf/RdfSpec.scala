@@ -1,13 +1,16 @@
 package repro.substrate.rdf
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop}
 
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, PropSpec, SparkSpec}
 
-/** Triple store + BGP engine tests, oracle-checked against DuckDB SQL
+/** Triple store + BGP evaluator tests, oracle-checked against DuckDB SQL
   * self-joins over the same triple table.
   */
-class RdfSpec extends SparkSpec {
+class RdfSpec extends SparkSpec with PropSpec {
   import spark.implicits._
 
   private lazy val triples = Seq(
@@ -128,11 +131,82 @@ class RdfSpec extends SparkSpec {
 
   test("local index agrees with the store") {
     val idx = LocalGraphIndex.fromStore(store)
-    assert(idx.objectsOf("c1", "similar") == Seq(("c3", 0.9)))
-    assert(idx.edgesOf("partOf").toSet ==
-      Set(("c1", "t1", 1.0), ("c2", "t1", 1.0), ("c3", "t2", 1.0), ("c4", "t2", 1.0)))
-    assert(idx.subjectsOf("type").toSet == Set("t1", "t2"))
-    assert(idx.objectsOf("nope", "similar").isEmpty)
+    assert(idx eq store.index)
+    def rows(p: TriplePattern) = idx.select(Seq(p)).map(_.toSeq)
+    assert(rows(TriplePattern.weighted("c1", "similar", "?o", "?w")) == Seq(Seq("c3", 0.9)))
+    assert(rows(TriplePattern.weighted("?c", "partOf", "?t", "?w")).toSet ==
+      Set(Seq("c1", "t1", 1.0), Seq("c2", "t1", 1.0), Seq("c3", "t2", 1.0), Seq("c4", "t2", 1.0)))
+    assert(rows(TriplePattern("?t", "type", "?cls")).map(_.head).toSet == Set("t1", "t2"))
+    assert(rows(TriplePattern.weighted("nope", "similar", "?o", "?w")).isEmpty)
+  }
+
+  // ----------------------------------------- differential property (DuckDB)
+  // Few nodes, so that joins hit; "g1" is a node and a graph, "a" a node
+  // and a predicate, so that a variable can join across positions.
+  private val nodes  = Seq("a", "b", "c", "g1")
+  private val preds  = Seq("p", "q", "a")
+  private val graphs = Seq("g0", "g1", "g2")
+
+  private val genTriples: Gen[Seq[Triple]] = for {
+    n  <- Gen.choose(1, 14)
+    ts <- Gen.listOfN(n, for {
+            g <- Gen.oneOf(graphs); s <- Gen.oneOf(nodes); p <- Gen.oneOf(preds)
+            o <- Gen.oneOf(nodes); w <- Gen.oneOf(0.25, 0.5, 1.0)
+          } yield Triple(g, s, p, o, w))
+    dups <- Gen.someOf(ts)
+  } yield ts ++ dups
+
+  private def genTerm(lits: Seq[String]): Gen[Term] =
+    Gen.oneOf(Gen.oneOf(lits).map(Term.Lit(_)), Gen.oneOf("x", "y", "z").map(Term.Var(_)))
+
+  /** Weight variable `v` may recur across patterns, `w<i>` may not. */
+  private def genPattern(i: Int): Gen[TriplePattern] = for {
+    s <- genTerm(nodes); p <- genTerm(preds); o <- genTerm(nodes)
+    g <- Gen.option(genTerm(graphs))
+    w <- Gen.option(Gen.oneOf("v", s"w$i"))
+  } yield TriplePattern(s, p, o, g, w)
+
+  private val genBgp: Gen[Seq[TriplePattern]] =
+    Gen.choose(1, 4).flatMap(n => Gen.sequence[Seq[TriplePattern], TriplePattern]((0 until n).map(genPattern)))
+
+  /** A BGP as a SQL self-join over `triples`: one alias per pattern, a
+    * variable selected from the column that binds it first and equated
+    * to every later occurrence.
+    */
+  private def bgpSql(bgp: Seq[TriplePattern]): String = {
+    val first = mutable.LinkedHashMap.empty[String, String]
+    val conds = mutable.ArrayBuffer.empty[String]
+    def term(column: String, t: Term): Unit = t match {
+      case Term.Lit(v) => conds += s"$column = '$v'"
+      case Term.Var(n) => first.get(n).fold[Unit](first(n) = column)(c => conds += s"$column = $c")
+    }
+    bgp.zipWithIndex.foreach { case (p, i) =>
+      term(s"t$i.subject", p.s); term(s"t$i.predicate", p.p); term(s"t$i.obj", p.o)
+      p.graph.foreach(term(s"t$i.graph", _))
+      p.weightVar.foreach(w => term(s"t$i.weight", Term.Var(w)))
+    }
+    val select = first.map { case (n, c) =>
+      if (c.endsWith(".weight")) s"CAST($c AS DOUBLE) AS $n" else s"$c AS $n"
+    }
+    s"SELECT ${select.mkString(", ")} FROM ${bgp.indices.map(i => s"triples t$i").mkString(", ")}" +
+      (if (conds.isEmpty) "" else conds.mkString(" WHERE ", " AND ", ""))
+  }
+
+  test("random BGPs agree with DuckDB self-joins (property)") {
+    var compared = 0
+    checkProp(Prop.forAllNoShrink(genTriples, genBgp) { (ts, bgp) =>
+      val s = TripleStore.fromDF(spark, ts.toDF()) // no shuffle per case
+      val bindsNothing = bgp.exists(p =>
+        p.weightVar.isEmpty && !(Seq(p.s, p.p, p.o) ++ p.graph).exists(_.isInstanceOf[Term.Var]))
+      if (bindsNothing) {
+        intercept[IllegalArgumentException](s.select(bgp))
+      } else {
+        Oracle.assertEquivalent(s.select(bgp), bgpSql(bgp), "triples" -> s.df)
+        compared += 1
+      }
+      true
+    }, minTests = 300)
+    assert(compared >= 200, s"only $compared BGPs compared")
   }
 
   test("fromDF validates layout") {
