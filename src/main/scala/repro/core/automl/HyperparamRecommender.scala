@@ -38,7 +38,8 @@ object HyperparamRecommender {
   }
 
   /** All (param, value) pairs of `estimator` calls in the top-voted
-    * pipelines that read `tableId`.
+    * pipelines that read `tableId`. A pipeline whose votes are not an
+    * integer ranks after every voted one.
     */
   def paramsUsedWith(store: TripleStore, tableId: String, estimator: String,
                      topPipelines: Int): Seq[(String, String)] = {
@@ -55,10 +56,12 @@ object HyperparamRecommender {
     ))
 
     rows
-      .map(r => (r.getAs[String]("g"), r.getAs[String]("votes").toInt, r.getAs[String]("param")))
+      .map(r => (r.getAs[String]("g"), r.getAs[String]("votes").trim.toIntOption,
+                 r.getAs[String]("param")))
       .distinct
       .groupBy(_._1).toSeq
-      .sortBy { case (g, entries) => (-entries.head._2, g) } // top-voted first
+      // top-voted first; a pipeline whose votes are not an integer last
+      .sortBy { case (g, entries) => (entries.head._2.fold(Long.MaxValue)(-_.toLong), g) }
       .take(topPipelines)
       .flatMap(_._2.map(_._3))
       .flatMap { kv =>

@@ -23,20 +23,33 @@ object JoinSearch {
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
     ))
     rows
-      .map(r => (r.getAs[String]("t1").stripPrefix(Lids.ResourcePrefix),
-                 r.getAs[String]("t2").stripPrefix(Lids.ResourcePrefix),
-                 r.getAs[Double]("w")))
-      .filter { case (t1, t2, _) => t1 != t2 }
-      .groupBy(_._1)
-      .map { case (t1, es) =>
-        t1 -> es.groupBy(_._2).map { case (t2, g) => (t2, g.map(_._3).max) }
-          .toSeq.sortBy { case (t2, w) => (-w, t2) }
-      }
+      .groupMap(r => strip(r.getAs[String]("t1")))(r =>
+        (strip(r.getAs[String]("t2")), r.getAs[Double]("w")))
+      .map { case (t1, edges) => t1 -> neighbours(t1, edges) }
   }
 
-  /** Top-k joinable tables for one table. */
-  def topKJoinable(store: TripleStore, tableId: String, k: Int): Seq[(String, Double)] =
-    joinableAdjacency(store).getOrElse(tableId, Seq.empty).take(k)
+  /** Top-k joinable tables for one table: one BGP anchored at the table,
+    * so only its own columns' similarity edges are read.
+    */
+  def topKJoinable(store: TripleStore, tableId: String, k: Int): Seq[(String, Double)] = {
+    val rows = store.index.select(Seq(
+      TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.IsPartOf),
+                    Term.Lit(Lids.ResourcePrefix + tableId)),
+      TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.ContentSimilarity), Term("?c2"),
+                    weightVar = Some("w")),
+      TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
+    ))
+    neighbours(tableId, rows.map(r => (strip(r.getAs[String]("t2")), r.getAs[Double]("w")))).take(k)
+  }
+
+  private def strip(uri: String): String = uri.stripPrefix(Lids.ResourcePrefix)
+
+  /** The tables other than `t1` among the `(table, weight)` edges, each
+    * with its best weight, by weight descending, then tableId.
+    */
+  private def neighbours(t1: String, edges: Seq[(String, Double)]): Seq[(String, Double)] =
+    edges.filter(_._1 != t1).groupMapReduce(_._1)(_._2)(math.max)
+      .toSeq.sortBy { case (t2, w) => (-w, t2) }
 
   /** All join paths from `fromTable` to `toTable` within `hops` edges
     * (shortest first). Each path is a sequence of tableIds including

@@ -1,7 +1,5 @@
 package repro.substrate.rdf
 
-import scala.jdk.CollectionConverters._
-
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -46,12 +44,6 @@ final class TripleStore private (val spark: SparkSession, val df: DataFrame) {
   /** A new store containing this store's triples plus `more`. */
   def union(more: TripleStore): TripleStore =
     new TripleStore(spark, df.unionByName(more.df))
-
-  /** Evaluate a BGP; the result has one column per variable
-    * ([[LocalGraphIndex.schemaOf]]), also when it has no rows.
-    */
-  def select(patterns: Seq[TriplePattern]): DataFrame =
-    spark.createDataFrame(index.select(patterns).asJava, LocalGraphIndex.schemaOf(patterns))
 
   /** Rough serialized size in bytes (N-Triples-style line lengths),
     * used for the Table 3 "Size" row.

@@ -105,4 +105,53 @@ class DiscoverySpec extends SparkSpec {
     assert(pairs.nonEmpty)
     assert(pairs.forall(_.getDouble(2) > 0))
   }
+
+  private val P = Lids.ResourcePrefix
+
+  test("searchTables matches the DuckDB oracle and sorts by table_id") {
+    val q  = lake.tables.find(_.name == lake.queryTables.head).get
+    val kw = q.columns.map(_.split('_').last.toLowerCase)
+    val other = lake.tables.find(_.name != q.name).get.columns.head.split('_').last.toLowerCase
+    val groups = Seq(Seq(kw(0), other), Seq(kw(1)))
+    val got = PredefinedOps.searchTables(store, groups)
+    val ids = got.collect().map(_.getString(0)).toSeq
+    assert(ids.contains(tid(q.name)))
+    assert(ids == ids.sorted)
+    // a table matches a group when its IRI or a column label, lowercased,
+    // contains one of the group's keywords
+    val having = groups.map(g =>
+      g.map(k => s"contains(hay, '$k')").mkString("bool_or(", " OR ", ")")).mkString(" AND ")
+    Oracle.assertEquivalent(got,
+      s"""WITH l AS (SELECT p.obj AS t, lower(p.obj || ' ' || l.obj) AS hay
+         |           FROM triples p
+         |           JOIN triples ty ON ty.subject = p.obj AND ty.predicate = '${Lids.Prop.RdfType}'
+         |                          AND ty.obj = '${Lids.Cls.Table}'
+         |           JOIN triples l ON l.subject = p.subject AND l.predicate = '${Lids.Prop.HasLabel}'
+         |           WHERE p.predicate = '${Lids.Prop.IsPartOf}')
+         |SELECT replace(t, '$P', '') AS table_id FROM l GROUP BY t HAVING $having""".stripMargin,
+      "triples" -> store.df)
+  }
+  test("findUnionableColumns matches the DuckDB oracle and sorts by score, column_1") {
+    lake.queryTables.foreach { q =>
+      val t2  = tid(lake.unionableGroundTruth(q).toSeq.sorted.head)
+      val got = PredefinedOps.findUnionableColumns(store, tid(q), t2)
+      val keys = got.collect().map(r => (-r.getDouble(2), r.getString(0))).toSeq
+      assert(keys.nonEmpty)
+      assert(keys == keys.sorted)
+      Oracle.assertEquivalent(got,
+        s"""SELECT replace(a.subject, '$P', '') AS column_1,
+           |       replace(m.obj, '$P', '') AS column_2, CAST(m.weight AS DOUBLE) AS score
+           |FROM triples a
+           |JOIN triples m ON m.subject = a.subject AND m.predicate = '${Lids.Prop.LabelSimilarity}'
+           |JOIN triples b ON b.subject = m.obj AND b.predicate = '${Lids.Prop.IsPartOf}'
+           |               AND b.obj = '$P$t2'
+           |WHERE a.predicate = '${Lids.Prop.IsPartOf}' AND a.obj = '$P${tid(q)}'""".stripMargin,
+        "triples" -> store.df)
+    }
+  }
+  test("topKJoinable equals the joinable adjacency for every table") {
+    val adj = JoinSearch.joinableAdjacency(store)
+    for (t <- lake.tables.map(t => tid(t.name)); k <- Seq(1, 3, 10))
+      assert(JoinSearch.topKJoinable(store, t, k) == adj.getOrElse(t, Nil).take(k), s"$t, k = $k")
+  }
 }
