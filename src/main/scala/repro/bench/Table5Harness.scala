@@ -31,7 +31,7 @@ object Table5Harness {
   )
 
   def run(spark: SparkSession, folds: Int = 3): Seq[Row] = {
-    val spec = TaskEvaluator.ModelSpec(kind = "rf", numTrees = 40, maxDepth = 8)
+    val forest = TaskEvaluator.RandomForest(numTrees = 40, maxDepth = 8)
     val trained = AutomationTrainer.trainOn(
       spark, MlDatasets.cleaningTrainingCorpus(4), pipelinesPer = 4, seed = 11)
 
@@ -41,7 +41,7 @@ object Table5Harness {
 
       // ---------------- baseline: drop rows with nulls
       val baseline = TaskEvaluator.crossValidate(
-        df.na.drop(d.featureCols), d.labelCol, d.featureCols, folds, "f1", spec)
+        df.na.drop(d.featureCols), d.labelCol, d.featureCols, forest, folds)
 
       // ---------------- HoloClean (governed)
       val holo = ResourceGovernor.run(HoloMemBudget, HoloTimeBudgetMs) { gov =>
@@ -52,7 +52,7 @@ object Table5Harness {
       val (holoF1, holoSec, holoMem) = holo match {
         case ResourceGovernor.Ok(cleaned, ms, bytes) =>
           (Some(TaskEvaluator.crossValidate(
-             cleaned, d.labelCol, d.featureCols, folds, "f1", spec)),
+             cleaned, d.labelCol, d.featureCols, forest, folds)),
            ms / 1000.0, bytes / 1024.0 / 1024.0)
         case ResourceGovernor.Oom(ms)     => (None, ms / 1000.0, HoloMemBudget / 1024.0 / 1024.0)
         case ResourceGovernor.Timeout(ms) => (None, ms / 1000.0, 0.0)
@@ -69,7 +69,7 @@ object Table5Harness {
         (d.featureCols.size + 1) * 350 * 8 / 1024.0 / 1024.0 +
           repro.core.embed.TableEmbedding.Dim * CleaningOps.All.size * 8 / 1024.0 / 1024.0
       val kglidsF1 = TaskEvaluator.crossValidate(
-        cleaned, d.labelCol, d.featureCols, folds, "f1", spec)
+        cleaned, d.labelCol, d.featureCols, forest, folds)
       cleaned.unpersist(); df.unpersist()
 
       Row(d.id, d.name, d.rows, baseline, holoF1, kglidsF1, op,

@@ -36,7 +36,6 @@ object Table6Harness {
   )
 
   def run(spark: SparkSession, folds: Int = 3): Seq[Row] = {
-    val spec = TaskEvaluator.ModelSpec(kind = "sgd", maxIter = 60)
     val trained = AutomationTrainer.trainOn(
       spark, MlDatasets.transformTrainingCorpus(4), pipelinesPer = 4, seed = 12)
 
@@ -45,7 +44,7 @@ object Table6Harness {
       df.count()
 
       def score(frame: org.apache.spark.sql.DataFrame, cols: Seq[String]): Double =
-        TaskEvaluator.crossValidate(frame, d.labelCol, cols, folds, "accuracy", spec)
+        TaskEvaluator.crossValidate(frame, d.labelCol, cols, TaskEvaluator.SoftmaxSgd, folds)
 
       // ---------------- baseline: raw features
       val baseline = score(df, d.featureCols)

@@ -126,17 +126,6 @@ object PipelineAbstraction {
       case _                 => None
     }
 
-    /** All expressions appearing in a statement. */
-    def exprsOf(s: PyStmt): Seq[PyExpr] = s match {
-      case PyAssign(ts, vs, _, _, _) => ts ++ vs
-      case PyExprStmt(e, _, _, _)    => Seq(e)
-      case PyFor(_, it, _, _, _)     => Seq(it)
-      case PyWhile(c, _, _, _)       => Seq(c)
-      case PyIf(c, _, _, _, _)       => Seq(c)
-      case PyReturn(e, _, _, _)      => e.toSeq
-      case _                         => Seq.empty
-    }
-
     /** True when the statement carries no pipeline semantics (§3.1). */
     def isInsignificant(s: PyStmt): Boolean = s match {
       case es: PyExprStmt =>

@@ -5,6 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{DoubleType, StructField, StructType}
 
+import repro.substrate.ml.Cells.numAt
 import repro.substrate.ml.ResourceGovernor
 
 /** AutoLearn — regression-based automated feature generation (§6.3.2).
@@ -178,14 +179,5 @@ final class AutoLearnLike(
       val b = binOf(x(r))
       if (counts(b) == 0) my else sums(b) / counts(b)
     }
-  }
-
-  private def numAt(r: Row, j: Int): Double = r.get(j) match {
-    case d: java.lang.Double  => d
-    case f: java.lang.Float   => f.toDouble
-    case i: java.lang.Integer => i.toDouble
-    case l: java.lang.Long    => l.toDouble
-    case s: String            => s.toDouble
-    case other                => throw new IllegalArgumentException(s"non-numeric $other")
   }
 }

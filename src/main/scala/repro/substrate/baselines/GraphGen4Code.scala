@@ -85,15 +85,7 @@ object GraphGen4Code {
                         defs: Seq[String], uses: Seq[String])
 
     val analyzed = stmts.zipWithIndex.map { case (s, i) =>
-      val exprs: Seq[PyExpr] = s match {
-        case PyAssign(ts, vs, _, _, _) => ts ++ vs
-        case PyExprStmt(e, _, _, _)    => Seq(e)
-        case PyFor(_, it, _, _, _)     => Seq(it)
-        case PyWhile(c, _, _, _)       => Seq(c)
-        case PyIf(c, _, _, _, _)       => Seq(c)
-        case PyReturn(e, _, _, _)      => e.toSeq
-        case _                         => Seq.empty
-      }
+      val exprs = exprsOf(s)
       val defs = s match {
         case PyAssign(ts, _, _, _, _) =>
           ts.flatMap {
@@ -136,16 +128,7 @@ object GraphGen4Code {
       }
 
       // calls: per-prefix library-path expansion, parameter order + values
-      val calls: Seq[PyCall] = (a.stmt match {
-        case PyAssign(ts, vs, _, _, _) => (ts ++ vs).flatMap(callsIn)
-        case PyExprStmt(e, _, _, _)    => callsIn(e)
-        case PyFor(_, it, _, _, _)     => callsIn(it)
-        case PyWhile(c, _, _, _)       => callsIn(c)
-        case PyIf(c, _, _, _, _)       => callsIn(c)
-        case PyReturn(e, _, _, _)      => e.toSeq.flatMap(callsIn)
-        case _                         => Seq.empty
-      })
-      calls.foreach { call =>
+      exprsOf(a.stmt).flatMap(callsIn).foreach { call =>
         rawPath(call.func).foreach { path =>
           val segs = path.split('.')
           segs.indices.foreach { pi =>

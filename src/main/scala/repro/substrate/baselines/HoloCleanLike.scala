@@ -5,6 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
 
+import repro.substrate.ml.Cells.numAt
 import repro.substrate.ml.ResourceGovernor
 
 /** HoloClean (Aimnet variant) — general statistical data repair (§6.3.1).
@@ -153,14 +154,5 @@ final class HoloCleanLike(
         otherCols.map(c => StructField(c, df.schema(c).dataType, nullable = true)))
     spark.createDataFrame(
       spark.sparkContext.parallelize(imputed.toIndexedSeq), schema)
-  }
-
-  private def numAt(r: Row, j: Int): Double = r.get(j) match {
-    case d: java.lang.Double  => d
-    case f: java.lang.Float   => f.toDouble
-    case i: java.lang.Integer => i.toDouble
-    case l: java.lang.Long    => l.toDouble
-    case s: String            => s.toDouble
-    case other                => throw new IllegalArgumentException(s"non-numeric $other")
   }
 }

@@ -44,10 +44,8 @@ final class KgpipLike(datasetIndex: VectorIndex,
         }
     }
     ordered.take(math.max(1, budgetConfigs)).map { case (trees, depth) =>
-      val score = TaskEvaluator.crossValidate(
-        df, labelCol, featureCols, k = folds, metric = "f1",
-        spec = TaskEvaluator.ModelSpec(kind = "rf", numTrees = trees, maxDepth = depth),
-        seed = seed)
+      val score = TaskEvaluator.crossValidate(df, labelCol, featureCols,
+        TaskEvaluator.RandomForest(trees, depth), k = folds, seed = seed)
       (score, (trees, depth))
     }.maxBy { case (s, (t, dpt)) => (s, -t, -dpt) }
   }

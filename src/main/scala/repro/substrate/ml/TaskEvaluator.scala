@@ -1,45 +1,64 @@
 package repro.substrate.ml
 
-import org.apache.spark.ml.classification.{LogisticRegression, RandomForestClassifier}
+import org.apache.spark.ml.classification.RandomForestClassifier
 import org.apache.spark.ml.evaluation.MulticlassClassificationEvaluator
 import org.apache.spark.ml.feature.{StringIndexer, VectorAssembler}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+import repro.substrate.ml.Cells.numAt
+
 /** Downstream ML-task scoring (§6.3): "clean/transform the dataset with
   * each system, train a classifier with k-fold cross-validation, report
-  * F1/accuracy". Random forest is the paper's evaluation model for
-  * cleaning; for transformation we score with (unstandardized) logistic
-  * regression, a scale-sensitive learner, so scaling/log effects are
-  * measurable at container scale (documented in EXPERIMENTS.md).
+  * F1/accuracy". Each [[TaskEvaluator.Learner]] fixes its metric: the
+  * random forest, the paper's evaluation model for cleaning (Table 5) and
+  * the KGpip search space, is scored by F1; transformation (Table 6) is
+  * scored by the accuracy of a fixed-step SGD softmax classifier, a
+  * scale-sensitive learner, so scaling/log effects are measurable at
+  * container scale (documented in EXPERIMENTS.md).
   */
 object TaskEvaluator {
 
-  /** Classifier spec for cross-validation. */
-  case class ModelSpec(
-      kind: String = "rf", // "rf" | "lr"
-      numTrees: Int = 50,
-      maxDepth: Int = 8,
-      maxIter: Int = 60,
-      regParam: Double = 0.0,
-  )
+  /** Downstream learner; its case decides the metric. */
+  sealed trait Learner
+
+  /** Spark MLlib random forest, scored by F1. */
+  final case class RandomForest(numTrees: Int, maxDepth: Int) extends Learner
+
+  /** Driver-side fixed-step SGD softmax classifier, scored by accuracy.
+    * Plain gradient descent's convergence degrades with the
+    * feature-scale condition number, which is exactly the effect
+    * normalization/scaling addresses (the paper's §4.3 motivation).
+    */
+  case object SoftmaxSgd extends Learner {
+    val Epochs       = 600
+    val LearningRate = 0.05
+    val BatchSize    = 64
+    /** Rows collected to the driver at most. */
+    val MaxRows      = 60000
+  }
 
   /** k-fold cross-validated score × 100. Returns 0.0 on degenerate input
     * (too few rows or a single class — the paper's 00.00 rows for the
     * drop-nulls baseline on mostly-null datasets).
     */
   def crossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                    k: Int = 5, metric: String = "f1",
-                    spec: ModelSpec = ModelSpec(), seed: Long = 7L): Double = {
+                    learner: Learner, k: Int = 5, seed: Long = 7L): Double = {
     val clean = df.na.drop(featureCols :+ labelCol)
     val n     = clean.count()
     if (n < 4L * k) return 0.0
     if (clean.select(labelCol).distinct().count() < 2) return 0.0
-    if (spec.kind == "sgd") return sgdCrossValidate(clean, labelCol, featureCols, k, metric, spec, seed)
+    learner match {
+      case rf: RandomForest => forestCrossValidate(clean, labelCol, featureCols, k, rf, seed)
+      case SoftmaxSgd       => sgdCrossValidate(clean, labelCol, featureCols, k, seed)
+    }
+  }
 
+  private def forestCrossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
+                                  k: Int, rf: RandomForest, seed: Long): Double = {
     val indexed = new StringIndexer()
       .setInputCol(labelCol).setOutputCol("__label").setHandleInvalid("skip")
-      .fit(clean).transform(clean)
+      .fit(df).transform(df)
     val assembled = new VectorAssembler()
       .setInputCols(featureCols.toArray).setOutputCol("features")
       .setHandleInvalid("skip")
@@ -50,27 +69,18 @@ object TaskEvaluator {
     try {
       val evaluator = new MulticlassClassificationEvaluator()
         .setLabelCol("__label").setPredictionCol("prediction")
-        .setMetricName(metric)
+        .setMetricName("f1")
       val scores = (0 until k).flatMap { fold =>
         val train = assembled.filter(col("__fold") =!= fold)
         val test  = assembled.filter(col("__fold") === fold)
         if (train.isEmpty || test.isEmpty ||
             train.select("__label").distinct().count() < 2) None
         else {
-          val model = spec.kind match {
-            case "lr" =>
-              new LogisticRegression()
-                .setLabelCol("__label").setFeaturesCol("features")
-                .setMaxIter(spec.maxIter).setRegParam(spec.regParam)
-                .setStandardization(false)
-                .fit(train)
-            case _ =>
-              new RandomForestClassifier()
-                .setLabelCol("__label").setFeaturesCol("features")
-                .setNumTrees(spec.numTrees).setMaxDepth(spec.maxDepth)
-                .setSeed(seed)
-                .fit(train)
-          }
+          val model = new RandomForestClassifier()
+            .setLabelCol("__label").setFeaturesCol("features")
+            .setNumTrees(rf.numTrees).setMaxDepth(rf.maxDepth)
+            .setSeed(seed)
+            .fit(train)
           Some(evaluator.evaluate(model.transform(test)))
         }
       }
@@ -78,30 +88,12 @@ object TaskEvaluator {
     } finally assembled.unpersist()
   }
 
-  /** Fixed-step SGD softmax classifier (driver-side) — the
-    * scale-sensitive downstream learner used for the transformation
-    * experiment: plain gradient descent's convergence degrades with the
-    * feature-scale condition number, which is exactly the effect
-    * normalization/scaling addresses (the paper's §4.3 motivation).
-    * Supports the accuracy metric.
-    */
   private def sgdCrossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                               k: Int, metric: String, spec: ModelSpec,
-                               seed: Long): Double = {
-    require(metric == "accuracy", s"sgd evaluator supports accuracy, got $metric")
+                               k: Int, seed: Long): Double = {
     val rows = df.select((featureCols :+ labelCol).map(col): _*)
-      .limit(60000).collect()
+      .limit(SoftmaxSgd.MaxRows).collect()
     val d = featureCols.size
-    val feats = rows.map { r =>
-      Array.tabulate(d) { j =>
-        r.get(j) match {
-          case x: java.lang.Double  => x.toDouble
-          case x: java.lang.Long    => x.toDouble
-          case x: java.lang.Integer => x.toDouble
-          case x                    => x.toString.toDouble
-        }
-      }
-    }
+    val feats   = rows.map(r => Array.tabulate(d)(numAt(r, _)))
     val classes = rows.map(_.get(d).toString).distinct.sorted
     if (classes.length < 2) return 0.0
     val labels = rows.map(r => classes.indexOf(r.get(d).toString))
@@ -114,8 +106,8 @@ object TaskEvaluator {
       if (trainIdx.isEmpty || testIdx.isEmpty ||
           trainIdx.map(labels).distinct.length < 2) None
       else {
-        val gnn = new OneLayerGnn(d, classes.length, learningRate = 0.05,
-          epochs = math.max(300, spec.maxIter * 10), batchSize = 64, seed = seed)
+        val gnn = new OneLayerGnn(d, classes.length, learningRate = SoftmaxSgd.LearningRate,
+          epochs = SoftmaxSgd.Epochs, batchSize = SoftmaxSgd.BatchSize, seed = seed)
         gnn.fit(trainIdx.map(feats), trainIdx.map(labels))
         val correct = testIdx.count(i => gnn.predict(feats(i)) == labels(i))
         Some(correct.toDouble / testIdx.length)

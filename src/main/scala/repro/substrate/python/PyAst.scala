@@ -49,6 +49,17 @@ object PyAst {
   final case class PyReturn(expr: Option[PyExpr],
                             line: Int, indent: Int, text: String) extends PyStmt
 
+  /** All expressions a statement evaluates (assignment targets first). */
+  def exprsOf(s: PyStmt): Seq[PyExpr] = s match {
+    case PyAssign(ts, vs, _, _, _) => ts ++ vs
+    case PyExprStmt(e, _, _, _)    => Seq(e)
+    case PyFor(_, it, _, _, _)     => Seq(it)
+    case PyWhile(c, _, _, _)       => Seq(c)
+    case PyIf(c, _, _, _, _)       => Seq(c)
+    case PyReturn(e, _, _, _)      => e.toSeq
+    case _                         => Seq.empty
+  }
+
   /** All variable names read by an expression. */
   def namesRead(e: PyExpr): Seq[String] = e match {
     case PyName(id)         => Seq(id)

@@ -79,7 +79,6 @@ object PyParser {
     }
     def expect(op: String): Unit =
       if (!eat(op)) throw new IllegalArgumentException(s"expected '$op' at $pos")
-    def atEnd: Boolean = pos >= toks.length
 
     /** expr (no top-level comma). */
     def expr(): PyExpr = {

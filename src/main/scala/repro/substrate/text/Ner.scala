@@ -12,12 +12,6 @@ package repro.substrate.text
   */
 object Ner {
 
-  /** Recognized entity families (subset of OntoNotes' 18 types that
-    * matter for tabular columns).
-    */
-  val EntityTypes: Seq[String] =
-    Seq("PERSON", "GPE_COUNTRY", "GPE_CITY", "ORG", "LANGUAGE", "PRODUCT", "EVENT")
-
   val Persons: Seq[String] = Seq(
     "james", "mary", "john", "patricia", "robert", "jennifer", "michael",
     "linda", "william", "elizabeth", "david", "barbara", "richard",

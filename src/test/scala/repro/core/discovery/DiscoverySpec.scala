@@ -96,7 +96,7 @@ class DiscoverySpec extends SparkSpec {
   }
   test("searchTables with an impossible conjunction is empty") {
     assert(PredefinedOps.searchTables(store,
-      Seq(Seq("zzzz_not_a_column"))).count() == 0)
+      Seq(Seq("zzzz_not_a_column"))).collect().isEmpty)
   }
   test("findUnionableColumns returns matched pairs for family tables") {
     val q  = lake.queryTables.head

@@ -46,7 +46,7 @@ class PipelineOpsSpec extends SparkSpec {
   }
   test("pipelines calling a never-used library is empty") {
     assert(PredefinedOps.getPipelinesCallingLibraries(store,
-      Seq("sklearn.cluster.KMeans")).count() == 0)
+      Seq("sklearn.cluster.KMeans")).collect().isEmpty)
   }
   test("recommend_ml_models returns estimators used on the dataset with scores") {
     val d = datasets.head
@@ -59,7 +59,7 @@ class PipelineOpsSpec extends SparkSpec {
   }
   test("recommend_ml_models for an unknown dataset is empty") {
     assert(PredefinedOps.recommendMlModels(store, "no_such_dataset",
-      Seq("xgboost.XGBClassifier")).count() == 0)
+      Seq("xgboost.XGBClassifier")).collect().isEmpty)
   }
 
   private val P = Lids.ResourcePrefix

@@ -104,25 +104,26 @@ class MlSubstrateSpec extends SparkSpec {
       (c * 4.0 + rng.nextGaussian(), c * -3.0 + rng.nextGaussian(), s"c$c")
     }).toDF("f0", "f1", "label").cache()
   }
+  private val forest = TaskEvaluator.RandomForest(numTrees = 50, maxDepth = 8)
   test("RF cross-validation scores a separable problem highly") {
-    val f1 = TaskEvaluator.crossValidate(separable, "label", Seq("f0", "f1"), k = 3)
+    val f1 = TaskEvaluator.crossValidate(separable, "label", Seq("f0", "f1"), forest, k = 3)
     assert(f1 > 90.0, s"F1 $f1")
   }
-  test("LR cross-validation works with the accuracy metric") {
+  test("SGD cross-validation scores a separable problem highly") {
     val acc = TaskEvaluator.crossValidate(separable, "label", Seq("f0", "f1"),
-      k = 3, metric = "accuracy", spec = TaskEvaluator.ModelSpec(kind = "lr"))
+      TaskEvaluator.SoftmaxSgd, k = 3)
     assert(acc > 90.0, s"accuracy $acc")
   }
   test("degenerate input scores 0 (paper's 00.00 baseline rows)") {
     val tiny = separable.limit(3)
-    assert(TaskEvaluator.crossValidate(tiny, "label", Seq("f0", "f1")) == 0.0)
+    assert(TaskEvaluator.crossValidate(tiny, "label", Seq("f0", "f1"), forest) == 0.0)
     val oneClass = separable.filter($"label" === "c0")
-    assert(TaskEvaluator.crossValidate(oneClass, "label", Seq("f0", "f1")) == 0.0)
+    assert(TaskEvaluator.crossValidate(oneClass, "label", Seq("f0", "f1"), forest) == 0.0)
   }
   test("rows with nulls are dropped before scoring") {
     val withNulls = separable.withColumn("f0",
       org.apache.spark.sql.functions.when($"f1" > 0, null).otherwise($"f0"))
-    val f1 = TaskEvaluator.crossValidate(withNulls, "label", Seq("f0", "f1"), k = 3)
+    val f1 = TaskEvaluator.crossValidate(withNulls, "label", Seq("f0", "f1"), forest, k = 3)
     assert(f1 >= 0.0) // must not throw
   }
 }
