@@ -65,7 +65,6 @@ object Table2Harness {
     val (kglidsPR, kglidsQuery) = time(prAtK(lake, k,
       q => KglidsDiscovery.queryUnionable(prepared, s"${lake.name}/$q", k)
         .map(_._1.stripPrefix(s"${lake.name}/"))))
-    prepared.store.unpersist()
 
     val nq = lake.queryTables.size.toDouble
     Seq(

@@ -46,14 +46,12 @@ object Table4Harness {
     val corpus = spark.createDataset(
       PipelineCorpus.abstractionCorpus(corpusSize, seed)).cache()
     corpus.count()
-    val kStore = TripleStore.fromDataset(
-      PipelineAbstraction.abstractCorpus(spark, corpus)).cache()
-    val gStore = TripleStore.fromDataset(
-      GraphGen4Code.abstractCorpus(spark, corpus)).cache()
+    val kStore = TripleStore.fromDataset(PipelineAbstraction.abstractCorpus(spark, corpus))
+    val gStore = TripleStore.fromDataset(GraphGen4Code.abstractCorpus(spark, corpus))
     val res = Result(
       breakdown(kStore, Lids.Aspects, extraTypeAspects = true),
       breakdown(gStore, GraphGen4Code.Aspects, extraTypeAspects = false))
-    kStore.unpersist(); gStore.unpersist(); corpus.unpersist()
+    corpus.unpersist()
     res
   }
 

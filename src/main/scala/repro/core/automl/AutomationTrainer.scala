@@ -37,8 +37,9 @@ object AutomationTrainer {
     val profiles = DataProfiler.profileCells(spark, cells).cache()
     val scripts = PipelineCorpus.forDatasets(
       datasets.map(PipelineCorpus.refOf), pipelinesPer, seed)
-    val store = LidsGraphBuilder.build(spark, profiles, spark.createDataset(scripts))
+    // materializes the cached profiles before the graph's branches read them
     val byTable = profiles.collect().toSeq.groupBy(_.tableId)
+    val store = LidsGraphBuilder.build(spark, profiles, spark.createDataset(scripts))
     profiles.unpersist()
     (store, byTable)
   }

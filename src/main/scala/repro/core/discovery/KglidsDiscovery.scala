@@ -32,7 +32,7 @@ object KglidsDiscovery {
     val profiles = DataProfiler.profileCells(spark, cells).cache()
     profiles.count()
     val store = LidsGraphBuilder.buildDatasetGraph(spark, profiles, th)
-    // loading the index materializes the cached store: preprocessing ends here
+    // the store is collected; building its index ends preprocessing
     val prepared = Prepared(store, LocalGraphIndex.fromStore(store))
     profiles.unpersist()
     prepared

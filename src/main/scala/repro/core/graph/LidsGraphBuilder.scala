@@ -16,15 +16,22 @@ object LidsGraphBuilder {
   /** Dataset graph only (no pipelines). */
   def buildDatasetGraph(spark: SparkSession, profiles: Dataset[ColumnProfile],
                         th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): TripleStore =
-    TripleStore.fromDataset(SchemaBuilder.build(spark, profiles, th)).cache()
+    TripleStore.fromDataset(SchemaBuilder.build(spark, profiles, th))
 
   /** Full LiDS graph: datasets ∪ pipelines ∪ libraries, linked. */
   def build(spark: SparkSession, profiles: Dataset[ColumnProfile],
             scripts: Dataset[ScriptRecord],
-            th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): TripleStore = {
+            th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): TripleStore =
+    TripleStore.fromDataset(graph(spark, profiles, scripts, th))
+
+  /** The triples of the full LiDS graph, from which [[build]] collects
+    * its store.
+    */
+  def graph(spark: SparkSession, profiles: Dataset[ColumnProfile],
+            scripts: Dataset[ScriptRecord],
+            th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): Dataset[Triple] = {
     val datasetGraph   = SchemaBuilder.build(spark, profiles, th)
     val pipelineGraphs = PipelineAbstraction.abstractCorpus(spark, scripts)
-    val linked         = GraphLinker.link(spark, pipelineGraphs, profiles)
-    TripleStore.fromDataset(datasetGraph.union(linked)).cache()
+    datasetGraph.union(GraphLinker.link(spark, pipelineGraphs, profiles))
   }
 }

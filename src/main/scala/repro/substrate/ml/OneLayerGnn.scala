@@ -7,9 +7,12 @@ import scala.util.Random
   * The paper's cleaning/transformation models are single-layer GNNs
   * ("there is only one edge between a given table and its cleaning
   * operation"): a node's representation is the mean of its neighbours'
-  * input embeddings (plus its own), followed by a linear layer and a
-  * softmax. Training uses GraphSAINT-style node-sampled mini-batches
-  * with SGD on cross-entropy. Implemented with plain arrays — the
+  * input embeddings, followed by a linear layer and a softmax. That mean
+  * is computed before this class sees a node: it is Eq. 1 in
+  * [[repro.core.embed.TableEmbedding]], the per-type mean of a table's
+  * column embeddings, and `fit` and `predict` take its result. Training
+  * uses GraphSAINT-style node-sampled mini-batches with SGD on
+  * cross-entropy. Implemented with plain arrays — the
   * feature matrices involved (hundreds of nodes × 1800 dims) need no
   * tensor runtime.
   */
@@ -25,19 +28,6 @@ final class OneLayerGnn(
   /** weights(c)(d) + bias(c): the single linear layer. */
   private var weights: Array[Array[Double]] = Array.ofDim(numClasses, dim)
   private var bias: Array[Double]           = Array.ofDim(numClasses)
-
-  /** Mean-aggregate a node's own feature with its neighbours' — the
-    * single message-passing step.
-    */
-  def aggregate(self: Array[Double], neighbours: Seq[Array[Double]]): Array[Double] = {
-    val all = self +: neighbours
-    val acc = Array.fill(dim)(0.0)
-    all.foreach { v =>
-      var i = 0
-      while (i < dim) { acc(i) += v(i); i += 1 }
-    }
-    acc.map(_ / all.size)
-  }
 
   private def logits(x: Array[Double]): Array[Double] = {
     val out = Array.ofDim[Double](numClasses)
@@ -57,7 +47,7 @@ final class OneLayerGnn(
     ez.map(_ / s)
   }
 
-  /** Train on aggregated node features + labels. Returns final loss. */
+  /** Train on aggregated node features (Eq. 1) + labels. Returns final loss. */
   def fit(features: Array[Array[Double]], labels: Array[Int]): Double = {
     require(features.length == labels.length && features.nonEmpty)
     val rng = new Random(seed)

@@ -1,14 +1,13 @@
 package repro.substrate.rdf
 
-import scala.collection.mutable
-
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.catalyst.expressions.GenericRowWithSchema
 import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructType}
 
 /** The BGP evaluator of the LiDS graph: a driver-side index over a
-  * store's triples — the stand-in for GraphDB's built-in indexes that
-  * make the paper's SPARQL queries millisecond-fast (§6.1.2).
+  * store's triple array, which it shares rather than copies — the
+  * stand-in for GraphDB's built-in indexes that make the paper's SPARQL
+  * queries millisecond-fast (§6.1.2).
   *
   * Triples are indexed by predicate → subject (PSO) and predicate →
   * object (POS), the predicate-keyed permutations of RDF-3X (Neumann &
@@ -22,7 +21,7 @@ import org.apache.spark.sql.types.{DoubleType, StringType, StructField, StructTy
   * join, so the solutions are those of a hash join on the shared
   * variables, or of a cross join when patterns share none, as a bag.
   */
-final class LocalGraphIndex private (triples: Array[Triple]) {
+final class LocalGraphIndex private[rdf] (triples: Array[Triple]) {
 
   private val pso = byPredicate(_.subject)
   private val pos = byPredicate(_.obj)
@@ -81,17 +80,6 @@ object LocalGraphIndex {
 
   /** The store's index: built once per store, on first use. */
   def fromStore(store: TripleStore): LocalGraphIndex = store.index
-
-  /** Index local triples. Equal strings are kept once: the LiDS graph
-    * repeats each IRI across many triples.
-    */
-  private[rdf] def fromTriples(triples: Iterator[Triple]): LocalGraphIndex = {
-    val canon = mutable.HashMap.empty[String, String]
-    def c(s: String): String = canon.getOrElseUpdate(s, s)
-    new LocalGraphIndex(triples.map { t =>
-      Triple(c(t.graph), c(t.subject), c(t.predicate), c(t.obj), t.weight)
-    }.toArray)
-  }
 
   /** The binding schema of a BGP: one column per variable, in order of
     * first appearance (subject, predicate, object, graph, then weight

@@ -1,10 +1,10 @@
 package repro.core.discovery
 
 import repro.{Oracle, SparkSpec}
-import repro.core.graph.{Lids, LidsGraphBuilder, SchemaBuilder}
+import repro.core.graph.{Lids, SchemaBuilder}
 import repro.core.profile.DataProfiler
 import repro.data.LakeBench
-import repro.substrate.rdf.LocalGraphIndex
+import repro.substrate.rdf.{LocalGraphIndex, TripleStore}
 
 /** Union/join discovery and the pre-defined operations over a small
   * synthetic lake with known ground truth.
@@ -17,8 +17,12 @@ class DiscoverySpec extends SparkSpec {
 
   private lazy val profiles =
     DataProfiler.profileCells(spark, lake.cells(spark)).cache()
-  private lazy val store =
-    LidsGraphBuilder.buildDatasetGraph(spark, profiles, SchemaBuilder.Thresholds())
+  /** The dataset graph, materialized once: the oracle reads these rows,
+    * the system the store collected from them.
+    */
+  private lazy val graph =
+    SchemaBuilder.build(spark, profiles, SchemaBuilder.Thresholds()).localCheckpoint()
+  private lazy val store = TripleStore.fromDataset(graph)
   private lazy val index = LocalGraphIndex.fromStore(store)
 
   private def tid(t: String) = s"${lake.name}/$t"
@@ -64,7 +68,7 @@ class DiscoverySpec extends SparkSpec {
          |SELECT replace(t2, '${Lids.ResourcePrefix}', '') AS table_id,
          |       SUM(w) / (SELECT COUNT(*) FROM q) AS score
          |FROM best GROUP BY t2""".stripMargin,
-      "triples" -> store.df)
+      "triples" -> graph.toDF())
   }
   test("joinable tables share content-similar columns") {
     val q   = lake.queryTables.head
@@ -129,7 +133,7 @@ class DiscoverySpec extends SparkSpec {
          |           JOIN triples l ON l.subject = p.subject AND l.predicate = '${Lids.Prop.HasLabel}'
          |           WHERE p.predicate = '${Lids.Prop.IsPartOf}')
          |SELECT replace(t, '$P', '') AS table_id FROM l GROUP BY t HAVING $having""".stripMargin,
-      "triples" -> store.df)
+      "triples" -> graph.toDF())
   }
   test("findUnionableColumns matches the DuckDB oracle and sorts by score, column_1") {
     lake.queryTables.foreach { q =>
@@ -146,7 +150,7 @@ class DiscoverySpec extends SparkSpec {
            |JOIN triples b ON b.subject = m.obj AND b.predicate = '${Lids.Prop.IsPartOf}'
            |               AND b.obj = '$P$t2'
            |WHERE a.predicate = '${Lids.Prop.IsPartOf}' AND a.obj = '$P${tid(q)}'""".stripMargin,
-        "triples" -> store.df)
+        "triples" -> graph.toDF())
     }
   }
   test("topKJoinable equals the joinable adjacency for every table") {

@@ -7,8 +7,9 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions.lit
 
 import repro.{Oracle, SparkSpec}
-import repro.core.automl.{AutomationTrainer, HyperparamRecommender}
-import repro.core.graph.Lids
+import repro.core.automl.HyperparamRecommender
+import repro.core.graph.{Lids, LidsGraphBuilder}
+import repro.core.profile.DataProfiler
 import repro.data.{MlDatasets, PipelineCorpus}
 import repro.substrate.rdf.{Triple, TripleStore}
 
@@ -17,9 +18,19 @@ import repro.substrate.rdf.{Triple, TripleStore}
   */
 class PipelineOpsSpec extends SparkSpec {
 
+  import spark.implicits._
+
   private lazy val datasets = MlDatasets.cleaningTrainingCorpus(2)
-  private lazy val (store, profilesByTable) =
-    AutomationTrainer.buildKg(spark, datasets, pipelinesPer = 3, seed = 9)
+  private lazy val profiles = DataProfiler.profileCells(spark, datasets.map { d =>
+    DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
+  }.reduce(_ union _)).cache()
+  /** The LiDS graph as `AutomationTrainer.buildKg` builds it, materialized
+    * once: the oracle reads these rows, the ops the store collected from
+    * them.
+    */
+  private lazy val graph = LidsGraphBuilder.graph(spark, profiles, spark.createDataset(
+    PipelineCorpus.forDatasets(datasets.map(PipelineCorpus.refOf), 3, seed = 9))).localCheckpoint()
+  private lazy val store = TripleStore.fromDataset(graph)
 
   test("get_top_k_library_used ranks pandas and sklearn at the top") {
     val top = PredefinedOps.getTopKLibraryUsed(store, 5).collect()
@@ -77,7 +88,7 @@ class PipelineOpsSpec extends SparkSpec {
            |      FROM triples WHERE $calls)
            |WHERE library <> '' GROUP BY library
            |ORDER BY pipelines DESC, library LIMIT $k""".stripMargin,
-        "triples" -> store.df)
+        "triples" -> graph.toDF())
     }
   }
   test("get_pipelines_calling_libraries matches the DuckDB oracle and sorts by votes, pipeline") {
@@ -98,7 +109,7 @@ class PipelineOpsSpec extends SparkSpec {
          |JOIN triples d ON d.subject = w.subject AND d.graph = w.graph
          |               AND d.predicate = '${Lids.Prop.AboutDataset}'
          |WHERE w.predicate = '${Lids.Prop.IsWrittenBy}' AND ${callers.mkString(" AND ")}""".stripMargin,
-      "triples" -> store.df)
+      "triples" -> graph.toDF())
   }
   test("recommend_ml_models matches the DuckDB oracle and sorts by avg_score, estimator") {
     val estimators = datasets.map { d =>
@@ -123,7 +134,7 @@ class PipelineOpsSpec extends SparkSpec {
          |  AND a.obj IN (${datasets.map(d => s"'${Lids.datasetUri(d.name)}'").mkString(", ")})
          |  AND c.obj IN (${estimators.map(e => s"'${Lids.libraryUri(e)}'").mkString(", ")})
          |GROUP BY a.obj, c.obj""".stripMargin,
-      "triples" -> store.df)
+      "triples" -> graph.toDF())
   }
 
   /** Spark jobs started by `body`: a listener counts the jobs tagged by
@@ -161,7 +172,7 @@ class PipelineOpsSpec extends SparkSpec {
   // aggregate with an exchange, two Spark jobs in Spark 4.1.
   test("the KGLiDS Interfaces ops and collecting their rows run no Spark job") {
     store.index
-    val tables = profilesByTable.keys.toSeq.sorted
+    val tables = profiles.map(_.tableId).distinct().collect().toSeq.sorted
     val d = datasets.head
     val (cls, module, _) = PipelineCorpus.estimatorFor(d.name)
     val jobs = sparkJobsOf {
@@ -175,7 +186,7 @@ class PipelineOpsSpec extends SparkSpec {
       JoinSearch.topKJoinable(store, tables(0), 3)
     }
     assert(jobs == 0)
-    assert(sparkJobsOf(store.df.count()) > 0, "the listener must see a Spark job")
+    assert(sparkJobsOf(graph.count()) > 0, "the listener must see a Spark job")
   }
 
   // Three pipelines calling SVC on table d/t; p2's votes and score are

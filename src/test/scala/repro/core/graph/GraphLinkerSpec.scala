@@ -65,6 +65,5 @@ class GraphLinkerSpec extends SparkSpec {
     assert(byPred.contains(Lids.Prop.IsPartOf))        // dataset graph
     assert(byPred.contains(Lids.Prop.ReadsColumn))     // linked pipeline graph
     assert(byPred.contains(Lids.Prop.IsPartOfLibrary)) // library graph
-    store.unpersist()
   }
 }

@@ -47,11 +47,6 @@ class MlSubstrateSpec extends SparkSpec {
     val acc = feats.indices.count(i => gnn.predict(feats(i)) == labels(i)).toDouble / 300
     assert(acc > 0.95, s"train accuracy $acc")
   }
-  test("GNN aggregate is the mean of self and neighbours") {
-    val gnn = new OneLayerGnn(2, 2)
-    val agg = gnn.aggregate(Array(1.0, 1.0), Seq(Array(3.0, 5.0)))
-    assert(agg.toSeq == Seq(2.0, 3.0))
-  }
   test("GNN probabilities sum to 1") {
     val gnn = new OneLayerGnn(4, 3, epochs = 10)
     gnn.fit(Array(Array(1.0, 0.0, 0.0, 0.0)), Array(0))

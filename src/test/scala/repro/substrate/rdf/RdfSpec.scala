@@ -4,7 +4,6 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 
 import repro.{Oracle, PropSpec, SparkSpec}
@@ -33,8 +32,7 @@ class RdfSpec extends SparkSpec with PropSpec {
   )
   private lazy val store = TripleStore(spark, triples)
 
-  private def triplesDf =
-    store.df.select($"graph", $"subject", $"predicate", $"obj", $"weight")
+  private def triplesDf = triples.toDF()
 
   /** A BGP's rows from the store's index as a DataFrame, for the oracle. */
   private def bgpDf(s: TripleStore, bgp: Seq[TriplePattern]): DataFrame =
@@ -124,15 +122,12 @@ class RdfSpec extends SparkSpec with PropSpec {
     intercept[IllegalArgumentException] { store.index.select(Seq.empty) }
   }
 
-  test("union combines stores") {
-    val extra = TripleStore(spark, Seq(Triple("g9", "x", "p", "y")))
-    assert(store.union(extra).size == triples.size + 1)
-  }
-
   test("approxSerializedBytes is positive and grows") {
     val b = store.approxSerializedBytes
     assert(b > 0)
-    assert(store.union(store).approxSerializedBytes > b)
+    assert(TripleStore(spark, triples ++ triples).approxSerializedBytes == 2 * b)
+    assert(TripleStore(spark, triples :+ Triple("g9", "x", "p", "y")).approxSerializedBytes ==
+      b + "g9xpy".length + 16)
   }
 
   test("local index agrees with the store") {
@@ -201,23 +196,17 @@ class RdfSpec extends SparkSpec with PropSpec {
   test("random BGPs agree with DuckDB self-joins (property)") {
     var compared = 0
     checkProp(Prop.forAllNoShrink(genTriples, genBgp) { (ts, bgp) =>
-      val s = TripleStore.fromDF(spark, ts.toDF()) // no shuffle per case
+      val s = TripleStore(spark, ts) // no Spark job per case
       val bindsNothing = bgp.exists(p =>
         p.weightVar.isEmpty && !(Seq(p.s, p.p, p.o) ++ p.graph).exists(_.isInstanceOf[Term.Var]))
       if (bindsNothing) {
         intercept[IllegalArgumentException](s.index.select(bgp))
       } else {
-        Oracle.assertEquivalent(bgpDf(s, bgp), bgpSql(bgp), "triples" -> s.df)
+        Oracle.assertEquivalent(bgpDf(s, bgp), bgpSql(bgp), "triples" -> ts.toDF())
         compared += 1
       }
       true
     }, minTests = 300)
     assert(compared >= 200, s"only $compared BGPs compared")
-  }
-
-  test("fromDF validates layout") {
-    intercept[IllegalArgumentException] {
-      TripleStore.fromDF(spark, Seq((1, 2)).toDF("a", "b"))
-    }
   }
 }
