@@ -21,12 +21,6 @@ object Table2Harness {
       recallAtK: Double,
   )
 
-  private def time[A](body: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a  = body
-    (a, (System.nanoTime() - t0) / 1e9)
-  }
-
   /** Precision/recall@k averaged over the lake's query tables. */
   private def prAtK(lake: Lake, k: Int,
                     query: String => Seq[String]): (Double, Double) = {
@@ -39,32 +33,32 @@ object Table2Harness {
     (prs.map(_._1).sum / prs.size, prs.map(_._2).sum / prs.size)
   }
 
-  /** Run the three systems on one lake; `k` = expected family size. */
+  /** Run the three systems on one lake; `k` = expected family size.
+    * Preprocessing is timed once per system (SANTOS takes minutes on the
+    * large lake); a query pass over the lake's query tables is timed by
+    * [[Timing.warmMedian]].
+    */
   def runLake(spark: SparkSession, spec: LakeBench.Spec): Seq[Row] = {
     val lake = LakeBench.generate(spec)
     val k    = spec.partitionsPerFamily - 1
 
-    // ---------------- SANTOS
     val santos = new SantosLike()
-    val (_, santosPrep) = time(santos.preprocess(lake))
-    val (santosPR, santosQuery) = time(prAtK(lake, k,
-      q => santos.queryUnionable(lake, q, k).map(_._1)))
-
-    // ---------------- Starmie
+    val (_, santosPrep) = Timing.once(santos.preprocess(lake))
     val starmie = new StarmieLike()
-    val (_, starmiePrep) = time(starmie.preprocess(lake))
-    val (starmiePR, starmieQuery) = time(prAtK(lake, k,
-      q => starmie.queryUnionable(lake, q, k).map(_._1)))
-
-    // ---------------- KGLiDS (data staged outside the timed section,
-    // like the in-memory lake the local baselines receive)
+    val (_, starmiePrep) = Timing.once(starmie.preprocess(lake))
+    // KGLiDS's data is staged outside the timed section, like the
+    // in-memory lake the local baselines receive
     val cells = lake.cells(spark).cache()
     cells.count()
-    val (prepared, kglidsPrep) = time(KglidsDiscovery.preprocessCells(spark, cells))
+    val (prepared, kglidsPrep) = Timing.once(KglidsDiscovery.preprocessCells(spark, cells))
     cells.unpersist()
-    val (kglidsPR, kglidsQuery) = time(prAtK(lake, k,
-      q => KglidsDiscovery.queryUnionable(prepared, s"${lake.name}/$q", k)
-        .map(_._1.stripPrefix(s"${lake.name}/"))))
+
+    val Seq((santosPR, santosQuery), (starmiePR, starmieQuery), (kglidsPR, kglidsQuery)) =
+      Timing.warmMedian(Seq(
+        () => prAtK(lake, k, q => santos.queryUnionable(lake, q, k).map(_._1)),
+        () => prAtK(lake, k, q => starmie.queryUnionable(lake, q, k).map(_._1)),
+        () => prAtK(lake, k, q => KglidsDiscovery.queryUnionable(prepared, s"${lake.name}/$q", k)
+          .map(_._1.stripPrefix(s"${lake.name}/")))))
 
     val nq = lake.queryTables.size.toDouble
     Seq(

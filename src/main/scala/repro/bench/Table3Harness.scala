@@ -1,11 +1,11 @@
 package repro.bench
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.SparkSession
 
 import repro.core.pipeline.PipelineAbstraction
 import repro.data.PipelineCorpus
 import repro.substrate.baselines.GraphGen4Code
-import repro.substrate.rdf.{Triple, TripleStore}
+import repro.substrate.rdf.TripleStore
 
 /** Table 3 — RDF graph size + analysis time for KGLiDS vs GraphGen4Code
   * over the synthetic pipeline corpus.
@@ -26,41 +26,23 @@ object Table3Harness {
     def timeReduction: Double    = 1.0 - kglids.analysisSec / g4c.analysisSec
   }
 
-  /** Timed samples per system, after one untimed warm-up build of each. */
-  val Samples = 5
-
   /** Abstract the corpus with both systems and collect stats. The
     * analysis time, like the paper's, covers graph generation into a
-    * store; it is the median of [[Samples]] builds per system, the two
-    * systems alternating which goes first, after an untimed warm-up
-    * build of each.
+    * store; it is timed by [[Timing.warmMedian]].
     */
   def run(spark: SparkSession, corpusSize: Int = 300, seed: Long = 77): Result = {
     import spark.implicits._
     val corpus = spark.createDataset(
       PipelineCorpus.abstractionCorpus(corpusSize, seed)).cache()
     corpus.count()
-
-    val builds = Seq[(String, () => Dataset[Triple])](
-      "KGLiDS"        -> (() => PipelineAbstraction.abstractCorpus(spark, corpus)),
-      "GraphGen4Code" -> (() => GraphGen4Code.abstractCorpus(spark, corpus)))
-    def timed(build: () => Dataset[Triple]): Double = {
-      val t0 = System.nanoTime()
-      TripleStore.fromDataset(build())
-      (System.nanoTime() - t0) / 1e9
-    }
-    val warm = builds.map { case (_, build) => TripleStore.fromDataset(build()) }
-    val secs = (0 until Samples).flatMap { i =>
-      val order = if (i % 2 == 0) builds else builds.reverse
-      order.map { case (system, build) => system -> timed(build) }
-    }.groupMap(_._1)(_._2)
-    corpus.unpersist()
-
-    val Seq(kglids, g4c) = builds.zip(warm).map { case ((system, _), store) =>
-      val sorted = secs(system).sorted
+    val Seq(kglids, g4c) = Timing.warmMedian(Seq(
+      () => TripleStore.fromDataset(PipelineAbstraction.abstractCorpus(spark, corpus)),
+      () => TripleStore.fromDataset(GraphGen4Code.abstractCorpus(spark, corpus)),
+    )).zip(Seq("KGLiDS", "GraphGen4Code")).map { case ((store, secs), system) =>
       SystemStats(system, store.size, store.nodeCount, store.predicateCount,
-        store.approxSerializedBytes / 1024.0 / 1024.0, sorted(sorted.size / 2))
+        store.approxSerializedBytes / 1024.0 / 1024.0, secs)
     }
+    corpus.unpersist()
     Result(corpusSize, kglids, g4c)
   }
 

@@ -66,19 +66,19 @@ object Table6Harness {
       }
 
       // ---------------- KGLiDS: profile → recommend scaler + unaries → apply
-      val t0       = System.nanoTime()
-      val profiles = DataProfiler.profileTable(spark, d.name, "t", df)
-      val scaler   = trained.scaler.predictFromEmbedding(
-        repro.core.embed.TableEmbedding.fromProfiles(profiles))
-      val unaryRec = profiles
-        .filter(p => FineGrainedType.isNumeric(p.fgType) &&
-                     d.featureCols.contains(p.columnName))
-        .map(p => p.columnName -> trained.unary.predictFromEmbedding(p.embedding))
-        .filter(_._2 != TransformOps.None)
-      var transformed = TransformOps.scale(df, d.featureCols, scaler)
-      unaryRec.foreach { case (c, op) => transformed = TransformOps.unary(transformed, c, op) }
-      transformed.cache().count()
-      val kglidsSec = (System.nanoTime() - t0) / 1e9
+      val ((scaler, unaryRec, transformed), kglidsSec) = Timing.once {
+        val profiles = DataProfiler.profileTable(spark, d.name, "t", df)
+        val scaler   = trained.scaler.predictFromEmbedding(
+          repro.core.embed.TableEmbedding.fromProfiles(profiles))
+        val unaryRec = profiles
+          .filter(p => FineGrainedType.isNumeric(p.fgType) &&
+                       d.featureCols.contains(p.columnName))
+          .map(p => p.columnName -> trained.unary.predictFromEmbedding(p.embedding))
+          .filter(_._2 != TransformOps.None)
+        val transformed = TransformOps.unary(TransformOps.scale(df, d.featureCols, scaler), unaryRec)
+        transformed.cache().count()
+        (scaler, unaryRec, transformed)
+      }
       val kglidsAcc = score(transformed, d.featureCols)
       val kglidsMemMb =
         (d.featureCols.size + 1) * 350 * 8 / 1024.0 / 1024.0 +

@@ -9,6 +9,10 @@ import org.apache.spark.sql.functions._
   * each implemented as a DataFrame → DataFrame transformation over the
   * given feature columns (numeric doubles; string columns are
   * mode/constant-filled where the op defines it).
+  *
+  * Each op reads every column statistic it needs in one aggregate
+  * ([[statistics]]), whose SQL already holds the defaults of an all-null
+  * or zero-row column, and rewrites its columns in one projection.
   */
 object CleaningOps {
 
@@ -32,6 +36,17 @@ object CleaningOps {
     case other            => throw new IllegalArgumentException(s"unknown cleaning op $other")
   }
 
+  /** The values of the aggregates `aggs` over `df`: one Spark job. */
+  private[automl] def statistics(df: DataFrame, aggs: Seq[Column]): Row =
+    df.select(aggs: _*).head()
+
+  /** A statistic, 0 where it is null (an all-null or zero-row column). */
+  private[automl] def orZero(stat: Column): Column = coalesce(stat, lit(0.0))
+
+  /** A divisor: the statistic, or 1 where it is null or 0. */
+  private[automl] def orOne(stat: Column): Column =
+    when(orZero(stat) === 0.0, 1.0).otherwise(stat)
+
   private def split(df: DataFrame, cols: Seq[String]): (Seq[String], Seq[String]) =
     cols.partition { c =>
       df.schema(c).dataType.typeName match {
@@ -46,22 +61,15 @@ object CleaningOps {
     df.na.fill(0.0, num).na.fill("missing", str)
   }
 
-  /** sklearn SimpleImputer: mean for numeric, most-frequent for strings. */
+  /** sklearn SimpleImputer: mean for numeric, most-frequent for strings
+    * (the lowest of tied values; `'missing'` for an all-null column).
+    */
   def simpleImputer(df: DataFrame, cols: Seq[String]): DataFrame = {
+    if (cols.isEmpty) return df
     val (num, str) = split(df, cols)
-    val means = if (num.isEmpty) Row() else
-      df.select(num.map(c => avg(col(c)).as(c)): _*).collect()(0)
-    val meanMap = num.zipWithIndex.map { case (c, i) =>
-      c -> (if (means.isNullAt(i)) 0.0 else means.getDouble(i))
-    }.toMap
-    val modes = str.map { c =>
-      val top = df.groupBy(c).count()
-        .filter(col(c).isNotNull)
-        .orderBy(desc("count"), col(c))
-        .limit(1).collect()
-      c -> top.headOption.map(_.get(0).toString).getOrElse("missing")
-    }.toMap
-    df.na.fill(meanMap).na.fill(modes)
+    val fills = statistics(df, num.map(c => orZero(avg(col(c)))) ++ str.map(c =>
+      coalesce(mode(col(c), deterministic = true).cast("string"), lit("missing"))))
+    df.na.fill((num ++ str).zip(fills.toSeq).toMap)
   }
 
   /** pandas `interpolate(method='linear')`: a missing cell becomes the
@@ -70,19 +78,17 @@ object CleaningOps {
     */
   def interpolate(df: DataFrame, cols: Seq[String]): DataFrame = {
     val (num, str) = split(df, cols)
-    val withId = df.withColumn("__rid", monotonically_increasing_id())
     val before = Window.orderBy("__rid").rowsBetween(Window.unboundedPreceding, -1)
     val after  = Window.orderBy("__rid").rowsBetween(1, Window.unboundedFollowing)
-    val out = num.foldLeft(withId) { (d, c) =>
+    val out = df.withColumn("__rid", monotonically_increasing_id()).withColumns(num.map { c =>
       val prev = last(col(c), ignoreNulls = true).over(before)
       val next = first(col(c), ignoreNulls = true).over(after)
-      val fillVal = when(prev.isNotNull && next.isNotNull, (prev + next) / 2.0)
+      c -> coalesce(col(c), when(prev.isNotNull && next.isNotNull, (prev + next) / 2.0)
         .when(prev.isNotNull, prev)
-        .otherwise(next)
-      d.withColumn(c, coalesce(col(c), fillVal))
-    }
+        .otherwise(next))
+    }.toMap)
     // residual nulls (empty column) + strings → mean/mode via SimpleImputer
-    simpleImputer(out.drop("__rid"), (num ++ str))
+    simpleImputer(out.drop("__rid"), num ++ str)
   }
 
   /** sklearn KNNImputer (k=5) against a broadcast anchor sample of
@@ -95,13 +101,10 @@ object CleaningOps {
     val (num, str) = split(df, cols)
     if (num.isEmpty) return simpleImputer(df, cols)
 
-    val stats = df.select(num.flatMap(c =>
-      Seq(avg(col(c)).as(s"m_$c"), stddev_pop(col(c)).as(s"s_$c"))): _*).collect()(0)
-    val mean = num.indices.map(i => if (stats.isNullAt(2 * i)) 0.0 else stats.getDouble(2 * i)).toArray
-    val std  = num.indices.map { i =>
-      val s = if (stats.isNullAt(2 * i + 1)) 0.0 else stats.getDouble(2 * i + 1)
-      if (s == 0.0) 1.0 else s
-    }.toArray
+    val stats = statistics(df, num.flatMap(c =>
+      Seq(orZero(avg(col(c))), orOne(stddev_pop(col(c))))))
+    val mean = num.indices.map(i => stats.getDouble(2 * i)).toArray
+    val std  = num.indices.map(i => stats.getDouble(2 * i + 1)).toArray
 
     val anchors: Array[Array[Double]] = df
       .na.drop(num)
@@ -130,6 +133,7 @@ object CleaningOps {
     }
 
     val featArray = array(num.map(c => col(c).cast("double")): _*)
+    // sequential: each column's distances read the columns imputed before it
     val out = num.zipWithIndex.foldLeft(df) { case (d, (c, i)) =>
       d.withColumn(c, coalesce(col(c), fillUdf(featArray, lit(i))))
     }
@@ -146,14 +150,13 @@ object CleaningOps {
     val (num, str) = split(df, cols)
     if (num.size < 2) return simpleImputer(df, cols)
 
-    val means = df.select(num.map(c => avg(col(c)).as(c)): _*).collect()(0)
-    val meanOf = num.zipWithIndex.map { case (c, i) =>
-      c -> (if (means.isNullAt(i)) 0.0 else means.getDouble(i))
-    }.toMap
-
-    val nullCols = num.filter(c => df.filter(col(c).isNull).limit(1).count() > 0)
+    val stats = statistics(df, num.flatMap(c =>
+      Seq(orZero(avg(col(c))), count(col(c)) < count(lit(1)))))
+    val meanOf   = num.indices.map(i => num(i) -> stats.getDouble(2 * i)).toMap
+    val nullCols = num.indices.filter(i => stats.getBoolean(2 * i + 1)).map(num)
     if (nullCols.isEmpty) return simpleImputer(df, cols)
 
+    // sequential: each target's fit and prediction read the targets imputed before it
     var current = df
     (0 until iterations).foreach { _ =>
       nullCols.foreach { target =>

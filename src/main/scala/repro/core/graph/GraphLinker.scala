@@ -1,7 +1,6 @@
 package repro.core.graph
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.core.profile.ColumnProfile
 import repro.substrate.rdf.Triple
@@ -13,34 +12,25 @@ import repro.substrate.rdf.Triple
   * prediction exists in the raw data (e.g. the user-defined
   * `NormalizedAge` column in Fig. 3). The linker verifies each predicted
   * `readsTable` / `readsColumn` edge against the Data Global Schema and
-  * drops edges whose target has no matching node — implemented as
-  * semi-joins between the pipeline triples and the profile-derived node
-  * sets.
+  * drops edges whose target has no matching node: the profiles' table
+  * and column IRIs are collected once into driver sets, and one narrow
+  * filter keeps every other triple and every read of a known node.
   */
 object GraphLinker {
 
   def link(spark: SparkSession, pipelineTriples: Dataset[Triple],
            profiles: Dataset[ColumnProfile]): Dataset[Triple] = {
     import spark.implicits._
-
-    val validTables = profiles
-      .map(p => Lids.tableUri(p.datasetName, p.tableName))
-      .distinct().toDF("obj")
-    val validColumns = profiles
-      .map(p => Lids.columnUri(p.datasetName, p.tableName, p.columnName))
-      .distinct().toDF("obj")
-
-    val df = pipelineTriples.toDF()
-    val untouched = df.filter(
-      col("predicate") =!= Lids.Prop.ReadsTable &&
-        col("predicate") =!= Lids.Prop.ReadsColumn)
-    val keptTables = df.filter(col("predicate") === Lids.Prop.ReadsTable)
-      .join(validTables, Seq("obj"), "left_semi")
-    val keptColumns = df.filter(col("predicate") === Lids.Prop.ReadsColumn)
-      .join(validColumns, Seq("obj"), "left_semi")
-
-    untouched.unionByName(keptTables.select(untouched.columns.map(col): _*))
-      .unionByName(keptColumns.select(untouched.columns.map(col): _*))
-      .as[Triple]
+    val names = profiles.select("datasetName", "tableName", "columnName")
+      .as[(String, String, String)].collect()
+    val tables  = names.map { case (d, t, _) => Lids.tableUri(d, t) }.toSet
+    val columns = names.map { case (d, t, c) => Lids.columnUri(d, t, c) }.toSet
+    pipelineTriples.filter { t =>
+      t.predicate match {
+        case Lids.Prop.ReadsTable  => tables(t.obj)
+        case Lids.Prop.ReadsColumn => columns(t.obj)
+        case _                     => true
+      }
+    }
   }
 }

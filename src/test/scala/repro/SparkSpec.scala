@@ -1,5 +1,9 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +20,37 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark jobs started by `body`: a listener counts the jobs tagged by
+    * this thread's local property, until a marker job run after `body`
+    * shows that the listener bus has delivered every earlier job.
+    */
+  protected def sparkJobsOf(body: => Any): Int = {
+    val sc      = spark.sparkContext
+    val tag     = "repro.test.counted"
+    val started = new AtomicInteger
+    val marker  = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(tag)).orNull match {
+          case "body"   => started.incrementAndGet()
+          case "marker" => marker.countDown()
+          case _        =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tag, "body")
+      body
+      sc.setLocalProperty(tag, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(marker.await(60, TimeUnit.SECONDS), "the marker job never reached the listener")
+      started.get
+    } finally {
+      sc.setLocalProperty(tag, null)
+      sc.removeSparkListener(listener)
+    }
+  }
 }
 
 object SparkSpec {

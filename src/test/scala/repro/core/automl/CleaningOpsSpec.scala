@@ -33,6 +33,30 @@ class CleaningOpsSpec extends SparkSpec {
         |       coalesce(cat, 'a') AS cat FROM t""".stripMargin,
       "t" -> df)
   }
+  test("simpleImputer: a tied string mode fills the lowest value (oracle)") {
+    val tied = Seq(Some("b"), Some("a"), None, Some("b"), Some("a")).toDF("cat")
+    Oracle.assertEquivalent(CleaningOps.simpleImputer(tied, Seq("cat")),
+      """SELECT coalesce(cat, (SELECT cat FROM t WHERE cat IS NOT NULL
+        |  GROUP BY cat ORDER BY count(*) DESC, cat LIMIT 1)) AS cat FROM t""".stripMargin,
+      "t" -> tied)
+  }
+  test("simpleImputer: all-null columns fill 0.0 and 'missing' (oracle)") {
+    val empty = Seq((Some(1.0), Option.empty[Double], Option.empty[String]),
+                    (None, None, None)).toDF("x", "n", "s")
+    Oracle.assertEquivalent(CleaningOps.simpleImputer(empty, Seq("x", "n", "s")),
+      """SELECT coalesce(CAST(x AS DOUBLE), 1.0) AS x,
+        |       coalesce(CAST(n AS DOUBLE), coalesce((SELECT avg(CAST(n AS DOUBLE)) FROM t), 0.0)) AS n,
+        |       coalesce(s, 'missing') AS s FROM t""".stripMargin,
+      "t" -> empty)
+  }
+  test("simpleImputer reads all its statistics in one aggregate") {
+    val wide = Seq(("a", "b", "c", 1.0), ("a", null, "d", 2.0), (null, "b", "d", 3.0))
+      .toDF("s1", "s2", "s3", "x")
+    def jobs(cols: Seq[String]) =
+      sparkJobsOf(CleaningOps.simpleImputer(wide, cols).collect())
+    val one = jobs(Seq("s1", "x"))
+    assert(one == jobs(Seq("s1", "s2", "s3", "x")), s"$one jobs with one string column")
+  }
   test("interpolate: missing cell becomes neighbour average") {
     val got = CleaningOps.interpolate(df, cols).select("x").as[Double].collect()
     assert(got(2) == 3.0) // between 2.0 and 4.0
@@ -75,6 +99,13 @@ class CleaningOpsSpec extends SparkSpec {
       .select(abs($"y" - (lit(2.0) * $"a" - $"b"))).as[Double].collect()
     val meanErr = errs.sum / errs.length
     assert(meanErr < 0.5, s"mean reconstruction error $meanErr")
+  }
+  test("iterativeImputer without numeric nulls equals simpleImputer") {
+    val complete = Seq((1.0, 2.0, Some("a")), (2.0, 1.0, None), (3.0, 5.0, Some("a")))
+      .toDF("a", "b", "cat")
+    val cols = Seq("a", "b", "cat")
+    assert(CleaningOps.iterativeImputer(complete, cols).collect().toSeq ==
+           CleaningOps.simpleImputer(complete, cols).collect().toSeq)
   }
   test("iterativeImputer beats mean imputation on correlated data") {
     val rng = new scala.util.Random(8)

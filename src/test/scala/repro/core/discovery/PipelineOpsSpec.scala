@@ -1,9 +1,5 @@
 package repro.core.discovery
 
-import java.util.concurrent.{CountDownLatch, TimeUnit}
-import java.util.concurrent.atomic.AtomicInteger
-
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.functions.lit
 
 import repro.{Oracle, SparkSpec}
@@ -135,37 +131,6 @@ class PipelineOpsSpec extends SparkSpec {
          |  AND c.obj IN (${estimators.map(e => s"'${Lids.libraryUri(e)}'").mkString(", ")})
          |GROUP BY a.obj, c.obj""".stripMargin,
       "triples" -> graph.toDF())
-  }
-
-  /** Spark jobs started by `body`: a listener counts the jobs tagged by
-    * this thread's local property, until a marker job run after `body`
-    * shows that the listener bus has delivered every earlier job.
-    */
-  private def sparkJobsOf(body: => Any): Int = {
-    val sc      = spark.sparkContext
-    val tag     = "repro.test.counted"
-    val started = new AtomicInteger
-    val marker  = new CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty(tag)).orNull match {
-          case "body"   => started.incrementAndGet()
-          case "marker" => marker.countDown()
-          case _        =>
-        }
-    }
-    sc.addSparkListener(listener)
-    try {
-      sc.setLocalProperty(tag, "body")
-      body
-      sc.setLocalProperty(tag, "marker")
-      sc.parallelize(Seq(1), 1).count()
-      assert(marker.await(60, TimeUnit.SECONDS), "the marker job never reached the listener")
-      started.get
-    } finally {
-      sc.setLocalProperty(tag, null)
-      sc.removeSparkListener(listener)
-    }
   }
 
   // `count()` is not covered: on a local DataFrame it is still an
