@@ -33,7 +33,11 @@ object Oracle {
       .sortBy(_.mkString(""))
   }
 
-  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+  /** The rows `sql` gives on DuckDB over `tables`, loaded as VARCHAR
+    * columns, and the result's column names: for checks that need more
+    * than [[assertEquivalent]]'s six decimals.
+    */
+  def rows(sql: String, tables: (String, DataFrame)*): (Seq[String], Seq[Row]) = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
@@ -59,19 +63,24 @@ object Oracle {
         .continually(rs)
         .takeWhile(_.next())
         .map(r => Row.fromSeq((1 to dCols.size).map(r.getObject)))
-        .toSeq
-      val sCols = sparkDf.columns.toSeq
-      require(
-        dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
-        s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
-      )
-      val got = canon(sparkDf.collect().toSeq, sCols)
-      val exp = canon(dRows, dCols)
-      require(got == exp,
-        s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
-      )
+        .toList
+      (dCols, dRows)
     } finally conn.close()
+  }
+
+  def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
+    val (dCols, dRows) = rows(sql, tables: _*)
+    val sCols = sparkDf.columns.toSeq
+    require(
+      dCols.map(_.toLowerCase).toSet == sCols.map(_.toLowerCase).toSet,
+      s"column mismatch: spark=${sCols.sorted} duckdb=${dCols.sorted} — alias every output column"
+    )
+    val got = canon(sparkDf.collect().toSeq, sCols)
+    val exp = canon(dRows, dCols)
+    require(got == exp,
+      s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
+      s"  first spark-only: ${got.diff(exp).take(3)}\n" +
+      s"  first duck-only:  ${exp.diff(got).take(3)}"
+    )
   }
 }

@@ -68,8 +68,22 @@ object Table2Harness {
     )
   }
 
-  def run(spark: SparkSession): Seq[Row] =
+  /** Every lake, after [[warmUp]]. */
+  def run(spark: SparkSession): Seq[Row] = {
+    warmUp(spark)
     Table1Harness.lakeSpecs.flatMap(runLake(spark, _))
+  }
+
+  /** Preprocesses santos_lite_small once with each system, untimed, so
+    * that the first timed lake does not carry the JVM's and Spark's
+    * warm-up.
+    */
+  private def warmUp(spark: SparkSession): Unit = {
+    val lake = LakeBench.generate(LakeBench.santosLiteSmall)
+    new SantosLike().preprocess(lake)
+    new StarmieLike().preprocess(lake)
+    KglidsDiscovery.preprocess(spark, lake)
+  }
 
   def format(rows: Seq[Row]): String = {
     val sb = new StringBuilder

@@ -78,17 +78,23 @@ object CleaningOps {
     */
   def interpolate(df: DataFrame, cols: Seq[String]): DataFrame = {
     val (num, str) = split(df, cols)
+    // Both frames end at the row before the current one, in ascending
+    // and in descending row order: Spark grows a frame that starts at the
+    // first row incrementally, where it would re-aggregate a frame that
+    // ends at the last row for every row.
     val before = Window.orderBy("__rid").rowsBetween(Window.unboundedPreceding, -1)
-    val after  = Window.orderBy("__rid").rowsBetween(1, Window.unboundedFollowing)
+    val after  = Window.orderBy(col("__rid").desc).rowsBetween(Window.unboundedPreceding, -1)
     val out = df.withColumn("__rid", monotonically_increasing_id()).withColumns(num.map { c =>
       val prev = last(col(c), ignoreNulls = true).over(before)
-      val next = first(col(c), ignoreNulls = true).over(after)
+      val next = last(col(c), ignoreNulls = true).over(after)
       c -> coalesce(col(c), when(prev.isNotNull && next.isNotNull, (prev + next) / 2.0)
         .when(prev.isNotNull, prev)
         .otherwise(next))
     }.toMap)
-    // residual nulls (empty column) + strings → mean/mode via SimpleImputer
-    simpleImputer(out.drop("__rid"), num ++ str)
+    // The windows leave the rows in one partition; sorting that partition
+    // by row restores the row order, in which the means below are summed.
+    // Residual nulls (empty column) + strings → mean/mode via SimpleImputer.
+    simpleImputer(out.sortWithinPartitions("__rid").drop("__rid"), num ++ str)
   }
 
   /** sklearn KNNImputer (k=5) against a broadcast anchor sample of

@@ -2,14 +2,15 @@ package repro.core.discovery
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.graph.{LidsGraphBuilder, SchemaBuilder}
+import repro.core.graph.SchemaBuilder
 import repro.core.profile.DataProfiler
 import repro.data.Lake
 import repro.substrate.rdf.{LocalGraphIndex, TripleStore}
 
 /** KGLiDS as a data-discovery *system* for the Table 2 harness:
-  * `preprocess` is the offline phase (Spark profiling → Alg. 3 schema →
-  * triple store → load into the serving index, the GraphDB analogue);
+  * `preprocess` is the offline phase (Spark profiling, then on the
+  * driver Alg. 3 schema → triple store → load into the serving index,
+  * the GraphDB analogue);
   * `queryUnionable` is the online top-k query.
   */
 object KglidsDiscovery {
@@ -23,19 +24,15 @@ object KglidsDiscovery {
 
   /** Preprocess from a pre-materialized cells DataFrame — the Table 2
     * harness stages the synthetic data once outside the timed section
-    * (the baselines also receive the generated lake for free).
+    * (the baselines also receive the generated lake for free). Profiling
+    * is the only Spark work: Alg. 3, the store and its index are built on
+    * the driver from the collected profiles.
     */
   def preprocessCells(spark: SparkSession, cells: org.apache.spark.sql.DataFrame,
                       th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): Prepared = {
-    // cache: the metadata branch and both sides of the pairwise join
-    // reuse the profiles — without this, profiling reruns 3×
-    val profiles = DataProfiler.profileCells(spark, cells).cache()
-    profiles.count()
-    val store = LidsGraphBuilder.buildDatasetGraph(spark, profiles, th)
-    // the store is collected; building its index ends preprocessing
-    val prepared = Prepared(store, LocalGraphIndex.fromStore(store))
-    profiles.unpersist()
-    prepared
+    val profiles = DataProfiler.profileCells(spark, cells).collect().toSeq
+    val store    = TripleStore(spark, SchemaBuilder.triples(profiles, th))
+    Prepared(store, LocalGraphIndex.fromStore(store))
   }
 
   /** Online top-k unionable-table query (tableId = "<lake>/<table>"). */

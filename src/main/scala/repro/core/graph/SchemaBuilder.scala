@@ -1,24 +1,29 @@
 package repro.core.graph
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.core.embed.EmbeddingOps
 import repro.core.profile.{ColumnProfile, FineGrainedType}
 import repro.substrate.rdf.Triple
 
-/** Data Global Schema builder — Alg. 3 as a DataFrame program.
+/** Data Global Schema builder — Alg. 3, one pass on the driver over the
+  * collected column profiles; it runs no Spark job.
   *
-  * Phase 1 maps each column profile to its metadata subgraph (hierarchy
-  * and statistics triples). Phase 2 forms all column pairs that share a
-  * fine-grained type but live in different tables via a DataFrame
-  * self-join (the paper's MapReduce-style pairwise distribution), and
-  * emits weighted similarity edges:
+  * The metadata subgraph holds each dataset's and table's hierarchy
+  * triples once, in order of first appearance, then each column's
+  * hierarchy and statistics triples. The similarity edges come from a
+  * dense kernel: the columns are grouped by fine-grained type, each
+  * vector's sum of squares is computed once, and every pair of columns of
+  * one type in different tables is scored, emitting
   *
   *  - `LabelSimilarity` when label-embedding cosine ≥ α;
   *  - `ContentSimilarity` when CoLR cosine ≥ θ (non-boolean), or when
   *    1 − |trueRatio_i − trueRatio_j| ≥ β (boolean).
   *
+  * The cosines are [[EmbeddingOps.cosine]]'s, summed in the same order,
+  * so the edge weights are those of comparing each pair on its own.
   * Similarity edges are emitted in both directions so graph queries need
   * no symmetric closure.
   */
@@ -27,20 +32,29 @@ object SchemaBuilder {
   /** User-defined similarity thresholds (α label, β boolean, θ content). */
   case class Thresholds(alpha: Double = 0.80, beta: Double = 0.90, theta: Double = 0.80)
 
-  /** Metadata subgraph for the data lake (hierarchy + statistics). */
-  def metadataGraph(spark: SparkSession, profiles: Dataset[ColumnProfile]): Dataset[Triple] = {
-    import spark.implicits._
+  /** Full data global schema: metadata, then similarity edges (Alg. 3). */
+  def triples(profiles: Seq[ColumnProfile], th: Thresholds = Thresholds()): Seq[Triple] =
+    metadata(profiles) ++ similarities(profiles, th)
+
+  /** Metadata subgraph (hierarchy + statistics). */
+  def metadata(profiles: Seq[ColumnProfile]): Seq[Triple] = {
+    val g        = Lids.DefaultGraph
+    val datasets = mutable.HashSet.empty[String]
+    val tables   = mutable.HashSet.empty[String]
     profiles.flatMap { p =>
       val ds  = Lids.datasetUri(p.datasetName)
       val tbl = Lids.tableUri(p.datasetName, p.tableName)
       val c   = Lids.columnUri(p.datasetName, p.tableName, p.columnName)
-      val g   = Lids.DefaultGraph
+      (if (datasets.add(ds))
+         Seq(Triple(g, ds, Lids.Prop.RdfType, Lids.Cls.Dataset),
+             Triple(g, ds, Lids.Prop.HasLabel, p.datasetName))
+       else Nil) ++
+      (if (tables.add(tbl))
+         Seq(Triple(g, tbl, Lids.Prop.RdfType, Lids.Cls.Table),
+             Triple(g, tbl, Lids.Prop.HasLabel, p.tableName),
+             Triple(g, tbl, Lids.Prop.IsPartOf, ds))
+       else Nil) ++
       Seq(
-        Triple(g, ds, Lids.Prop.RdfType, Lids.Cls.Dataset),
-        Triple(g, ds, Lids.Prop.HasLabel, p.datasetName),
-        Triple(g, tbl, Lids.Prop.RdfType, Lids.Cls.Table),
-        Triple(g, tbl, Lids.Prop.HasLabel, p.tableName),
-        Triple(g, tbl, Lids.Prop.IsPartOf, ds),
         Triple(g, c, Lids.Prop.RdfType, Lids.Cls.Column),
         Triple(g, c, Lids.Prop.HasLabel, p.columnName),
         Triple(g, c, Lids.Prop.IsPartOf, tbl),
@@ -48,67 +62,74 @@ object SchemaBuilder {
         Triple(g, c, Lids.Prop.HasTotalRows, p.totalCount.toString),
         Triple(g, c, Lids.Prop.HasMissingCount, p.nullCount.toString),
         Triple(g, c, Lids.Prop.HasDistinctCount, p.distinctCount.toString),
-      ) ++ (if (p.fgType == FineGrainedType.Boolean)
-              Seq(Triple(g, c, Lids.Prop.HasTrueRatio, f"${p.trueRatio}%.4f"))
-            else Nil)
-    }.distinct()
-  }
-
-  /** Slim pair-phase projection of a profile (public: Catalyst codegen). */
-  case class SlimCol(columnId: String, tableId: String, fgType: String,
-                     trueRatio: Double, embedding: Array[Double],
-                     labelEmbedding: Array[Double])
-
-  /** Column-similarity edges (Alg. 3 lines 7–19).
-    *
-    * Implemented as a self-join on the fine-grained type with the build
-    * side broadcast (profiles are a few MB even for the large lake; the
-    * join key has only 7 values, so a shuffle join would collapse to ≤7
-    * tasks), followed by a `flatMap` over pairs working on primitive
-    * `Array[Double]` embeddings — the hot path of preprocessing, kept
-    * boxing-free and skew-free.
-    */
-  def similarityGraph(spark: SparkSession, profiles: Dataset[ColumnProfile],
-                      th: Thresholds = Thresholds()): Dataset[Triple] = {
-    import spark.implicits._
-    val slim = profiles.map(p => SlimCol(
-      p.columnId, p.tableId, p.fgType, p.trueRatio, p.embedding, p.labelEmbedding))
-
-    val fields = Seq("columnId", "tableId", "fgType", "trueRatio",
-                     "embedding", "labelEmbedding")
-    val pairs = slim.toDF().alias("a")
-      .join(broadcast(slim.toDF().alias("b")),
-        col("a.fgType") === col("b.fgType") &&
-          col("a.tableId") =!= col("b.tableId") &&
-          col("a.columnId") < col("b.columnId"))
-      .select(struct(fields.map(f => col(s"a.$f").as(f)): _*).as("_1"),
-              struct(fields.map(f => col(s"b.$f").as(f)): _*).as("_2"))
-      .as[(SlimCol, SlimCol)]
-
-    pairs.flatMap { case (p, q) =>
-      val out = scala.collection.mutable.ArrayBuffer.empty[Triple]
-      val labelSim = EmbeddingOps.cosine(p.labelEmbedding, q.labelEmbedding)
-      if (labelSim >= th.alpha)
-        out ++= bidir(p.columnId, q.columnId, Lids.Prop.LabelSimilarity, labelSim)
-      val contentSim =
-        if (p.fgType == FineGrainedType.Boolean) 1.0 - math.abs(p.trueRatio - q.trueRatio)
-        else EmbeddingOps.cosine(p.embedding, q.embedding)
-      val contentTh = if (p.fgType == FineGrainedType.Boolean) th.beta else th.theta
-      if (contentSim >= contentTh)
-        out ++= bidir(p.columnId, q.columnId, Lids.Prop.ContentSimilarity, contentSim)
-      out
+      ) ++
+      (if (p.fgType == FineGrainedType.Boolean)
+         Seq(Triple(g, c, Lids.Prop.HasTrueRatio, f"${p.trueRatio}%.4f"))
+       else Nil)
     }
   }
 
-  private def bidir(ci: String, cj: String, pred: String, score: Double): Seq[Triple] = {
-    val ui = Lids.ResourcePrefix + ci
-    val uj = Lids.ResourcePrefix + cj
-    Seq(Triple(Lids.DefaultGraph, ui, pred, uj, score),
-        Triple(Lids.DefaultGraph, uj, pred, ui, score))
+  /** Column-similarity edges (Alg. 3 lines 7–19): per fine-grained type,
+    * in order of first appearance, the pairs i < j of columns in
+    * different tables, in profile order.
+    */
+  def similarities(profiles: Seq[ColumnProfile], th: Thresholds = Thresholds()): Seq[Triple] = {
+    val out = mutable.ArrayBuffer.empty[Triple]
+    def emit(ci: String, cj: String, pred: String, score: Double): Unit = {
+      out += Triple(Lids.DefaultGraph, ci, pred, cj, score)
+      out += Triple(Lids.DefaultGraph, cj, pred, ci, score)
+    }
+    val tableIds = mutable.HashMap.empty[String, Int]
+    profiles.map(_.fgType).distinct.foreach { fgType =>
+      val cols      = profiles.filter(_.fgType == fgType).toArray
+      val uris      = cols.map(Lids.ResourcePrefix + _.columnId)
+      val table     = cols.map(p => tableIds.getOrElseUpdate(p.tableId, tableIds.size))
+      val labels    = cols.map(_.labelEmbedding)
+      val labelSq   = labels.map(EmbeddingOps.sumOfSquares)
+      val boolean   = fgType == FineGrainedType.Boolean
+      val content   = cols.map(_.embedding)
+      val contentSq = content.map(EmbeddingOps.sumOfSquares)
+      val contentTh = if (boolean) th.beta else th.theta
+      var i = 0
+      while (i < cols.length) {
+        var j = i + 1
+        while (j < cols.length) {
+          if (table(i) != table(j)) {
+            val labelSim = EmbeddingOps.cosine(
+              EmbeddingOps.dot(labels(i), labels(j)), labelSq(i), labelSq(j))
+            if (labelSim >= th.alpha) emit(uris(i), uris(j), Lids.Prop.LabelSimilarity, labelSim)
+            val contentSim =
+              if (boolean) 1.0 - math.abs(cols(i).trueRatio - cols(j).trueRatio)
+              else EmbeddingOps.cosine(
+                EmbeddingOps.dot(content(i), content(j)), contentSq(i), contentSq(j))
+            if (contentSim >= contentTh)
+              emit(uris(i), uris(j), Lids.Prop.ContentSimilarity, contentSim)
+          }
+          j += 1
+        }
+        i += 1
+      }
+    }
+    out.toSeq
   }
 
-  /** Full data global schema: metadata ∪ similarity edges (Alg. 3). */
+  /** [[metadata]] of the collected `profiles`, as a local Dataset. */
+  def metadataGraph(spark: SparkSession, profiles: Dataset[ColumnProfile]): Dataset[Triple] = {
+    import spark.implicits._
+    spark.createDataset(metadata(profiles.collect().toSeq))
+  }
+
+  /** [[similarities]] of the collected `profiles`, as a local Dataset. */
+  def similarityGraph(spark: SparkSession, profiles: Dataset[ColumnProfile],
+                      th: Thresholds = Thresholds()): Dataset[Triple] = {
+    import spark.implicits._
+    spark.createDataset(similarities(profiles.collect().toSeq, th))
+  }
+
+  /** [[triples]] of the collected `profiles`, as a local Dataset. */
   def build(spark: SparkSession, profiles: Dataset[ColumnProfile],
-            th: Thresholds = Thresholds()): Dataset[Triple] =
-    metadataGraph(spark, profiles).union(similarityGraph(spark, profiles, th))
+            th: Thresholds = Thresholds()): Dataset[Triple] = {
+    import spark.implicits._
+    spark.createDataset(triples(profiles.collect().toSeq, th))
+  }
 }

@@ -68,6 +68,38 @@ class CleaningOpsSpec extends SparkSpec {
     assert(got(0) == 2.0) // first: next non-null
     assert(got(3) == 4.0) // last: prev non-null
   }
+  test("interpolate: leading, trailing, isolated and all-null runs (oracle)") {
+    val gaps = Seq(
+      (0, None, Some(5.0), Option.empty[Double]),
+      (1, None, None, None),
+      (2, Some(1.0), None, None),
+      (3, None, Some(2.0), None),
+      (4, Some(3.0), None, None),
+      (5, Some(4.0), Some(8.0), None),
+      (6, None, Some(1.0), None),
+      (7, None, None, None),
+    ).toDF("i", "x", "z", "e")
+    // the nearest non-null value before and after each row, their mean
+    // where both exist; an all-null column has mean 0
+    def filled(c: String) =
+      s"""coalesce(a.$c,
+         |  ((SELECT arg_max(b.$c, b.i) FROM t2 b WHERE b.i < a.i AND b.$c IS NOT NULL) +
+         |   (SELECT arg_min(b.$c, b.i) FROM t2 b WHERE b.i > a.i AND b.$c IS NOT NULL)) / 2.0,
+         |  (SELECT arg_max(b.$c, b.i) FROM t2 b WHERE b.i < a.i AND b.$c IS NOT NULL),
+         |  (SELECT arg_min(b.$c, b.i) FROM t2 b WHERE b.i > a.i AND b.$c IS NOT NULL),
+         |  0.0) AS $c""".stripMargin
+    Oracle.assertEquivalent(CleaningOps.interpolate(gaps, Seq("x", "z", "e")),
+      s"""WITH t2 AS (SELECT CAST(i AS INTEGER) AS i, CAST(x AS DOUBLE) AS x,
+         |                   CAST(z AS DOUBLE) AS z, CAST(e AS DOUBLE) AS e FROM t)
+         |SELECT a.i AS i, ${Seq("x", "z", "e").map(filled).mkString(",\n")}
+         |FROM t2 a""".stripMargin,
+      "t" -> gaps)
+  }
+  test("interpolate keeps the row order") {
+    val rows = (0 until 200).map(i => (i, if (i % 7 == 3) None else Some(i.toDouble)))
+    val got = CleaningOps.interpolate(rows.toDF("i", "x"), Seq("x")).as[(Int, Double)].collect()
+    assert(got.map(_._1).toSeq == (0 until 200))
+  }
   test("all operators remove every null") {
     CleaningOps.All.foreach { op =>
       val cleaned = CleaningOps(op, df, cols)

@@ -33,6 +33,12 @@ class DiscoverySpec extends SparkSpec {
     val gt  = lake.unionableGroundTruth(q).map(tid)
     assert(got == gt, s"expected $gt got $got")
   }
+  test("preprocessing runs only the Spark jobs of profiling") {
+    val cells     = lake.cells(spark)
+    val profiling = sparkJobsOf(DataProfiler.profileCells(spark, cells).collect())
+    val prepared  = sparkJobsOf(KglidsDiscovery.preprocessCells(spark, cells))
+    assert(profiling > 0 && prepared == profiling, s"$prepared jobs, profiling alone $profiling")
+  }
   test("unionable scores are in (0, 1] and sorted descending") {
     val res = UnionSearch.topKUnionable(index, tid(lake.queryTables.head), 10)
     assert(res.nonEmpty)
