@@ -82,7 +82,7 @@ object Table2Harness {
     val lake = LakeBench.generate(LakeBench.santosLiteSmall)
     new SantosLike().preprocess(lake)
     new StarmieLike().preprocess(lake)
-    KglidsDiscovery.preprocess(spark, lake)
+    KglidsDiscovery.preprocessCells(spark, lake.cells(spark))
   }
 
   def format(rows: Seq[Row]): String = {

@@ -2,7 +2,7 @@ package repro.core.automl
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
-import repro.core.embed.{ColrModel, TableEmbedding}
+import repro.core.embed.TableEmbedding
 import repro.core.graph.Lids
 import repro.core.profile.DataProfiler
 import repro.substrate.ml.OneLayerGnn
@@ -35,10 +35,6 @@ final class GnnRecommender private (
       else TableEmbedding.fromProfiles(profiles)
     predictFromEmbedding(emb)
   }
-
-  /** Column-level inference: embed one column's values and classify. */
-  def recommendForColumn(fgType: String, sample: Seq[String]): String =
-    predictFromEmbedding(ColrModel.embed(fgType, sample))
 }
 
 object GnnRecommender {

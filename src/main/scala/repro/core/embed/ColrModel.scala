@@ -2,7 +2,7 @@ package repro.core.embed
 
 import scala.util.hashing.MurmurHash3
 
-import repro.core.profile.FineGrainedType
+import repro.core.profile.{ColumnStats, FineGrainedType}
 import repro.substrate.text.Tokenizer
 
 /** CoLR — column learned representations (§3.2), offline substitute.
@@ -174,10 +174,9 @@ object ColrModel {
     * (Eq. 1) stays uniform.
     */
   private def embedBoolean(vals: Seq[String]): Array[Double] = {
-    val trueish = Set("true", "t", "yes", "y", "1")
-    val ratio   = vals.count(v => trueish.contains(v.toLowerCase)).toDouble / vals.size
-    val sketch  = Array.fill(SketchDim)(0.0); sketch(0) = 1.0
-    val shape   = Array.fill(ShapeDim)(0.0)
+    val ratio  = vals.count(ColumnStats.isTrue).toDouble / vals.size
+    val sketch = Array.fill(SketchDim)(0.0); sketch(0) = 1.0
+    val shape  = Array.fill(ShapeDim)(0.0)
     shape(math.min(ShapeDim - 1, (ratio * ShapeDim).toInt)) = 1.0
     assemble(sketch, shape, Array(ratio, 1.0 - ratio))
   }

@@ -1,7 +1,8 @@
 package repro.core.graph
 
 /** The LiDS ontology (§2.1): class and property URIs plus URI builders
-  * for resources. Kept string-typed so triples stay a flat DataFrame.
+  * for resources. Kept string-typed, so a triple is plain strings and a
+  * weight, on the driver and in a Spark Dataset alike.
   */
 object Lids {
   val OntologyPrefix = "http://kglids.org/ontology/"

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.core.pipeline.{PipelineAbstraction, ScriptRecord}
 import repro.core.profile.ColumnProfile
-import repro.substrate.rdf.{Triple, TripleStore}
+import repro.substrate.rdf.TripleStore
 
 /** Assembles the full LiDS graph (§3.3): the data global schema from
   * column profiles (Alg. 3, on the driver), one named graph per
@@ -13,24 +13,14 @@ import repro.substrate.rdf.{Triple, TripleStore}
   */
 object LidsGraphBuilder {
 
-  /** Full LiDS graph: datasets ∪ pipelines ∪ libraries, linked; the
+  /** Full LiDS graph: datasets ∪ pipelines ∪ libraries, linked. The
     * schema's triples come first, then the linked pipelines' in the
-    * order they are collected.
+    * order they are collected; the GNN examples are extracted in this
+    * order.
     */
   def build(spark: SparkSession, profiles: Dataset[ColumnProfile],
-            scripts: Dataset[ScriptRecord],
-            th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): TripleStore =
-    TripleStore(spark, SchemaBuilder.triples(profiles.collect().toSeq, th) ++
-      pipelines(spark, profiles, scripts).collect())
-
-  /** The triples of [[build]]'s store, as a Dataset. */
-  def graph(spark: SparkSession, profiles: Dataset[ColumnProfile],
-            scripts: Dataset[ScriptRecord],
-            th: SchemaBuilder.Thresholds = SchemaBuilder.Thresholds()): Dataset[Triple] =
-    SchemaBuilder.build(spark, profiles, th).union(pipelines(spark, profiles, scripts))
-
-  /** The abstracted pipelines, linked to the profiled columns. */
-  private def pipelines(spark: SparkSession, profiles: Dataset[ColumnProfile],
-                        scripts: Dataset[ScriptRecord]): Dataset[Triple] =
-    GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles)
+            scripts: Dataset[ScriptRecord]): TripleStore =
+    TripleStore(spark, SchemaBuilder.triples(profiles.collect().toSeq) ++
+      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles)
+        .collect())
 }

@@ -8,11 +8,16 @@ object ColumnStats {
 
   private val trueish = Set("true", "t", "yes", "y", "1")
 
+  /** Whether a boolean cell reads as true, ignoring case and the
+    * surrounding whitespace.
+    */
+  def isTrue(v: String): Boolean = trueish.contains(v.trim.toLowerCase)
+
   /** Ratio of boolean-true values (Alg. 3 compares booleans by this). */
   def trueRatio(sample: Seq[String]): Double = {
     val vals = sample.filter(v => v != null && v.nonEmpty)
     if (vals.isEmpty) 0.0
-    else vals.count(v => trueish.contains(v.trim.toLowerCase)).toDouble / vals.size
+    else vals.count(isTrue).toDouble / vals.size
   }
 
   /** (mean, std, min, max) over the numeric-parsable sample values;

@@ -55,7 +55,7 @@ object ResourceGovernor {
         s"elapsed ${elapsedMillis}ms > budget ${budgetMillis}ms (TO)")
 
   /** Outcome wrapper used by the Table 5/6 benches. */
-  sealed trait Outcome[+A] { def isSuccess: Boolean = this.isInstanceOf[Ok[_]] }
+  sealed trait Outcome[+A]
   final case class Ok[A](value: A, millis: Long, peakBytes: Long) extends Outcome[A]
   final case class Oom(millis: Long)                              extends Outcome[Nothing]
   final case class Timeout(millis: Long)                          extends Outcome[Nothing]

@@ -22,9 +22,6 @@ final class VectorIndex(val dim: Int) {
     vecs += v
   }
 
-  def addAll(entries: Seq[(String, Array[Double])]): Unit =
-    entries.foreach { case (id, v) => add(id, v) }
-
   /** Top-k ids by cosine similarity (ties broken by id for determinism). */
   def topK(query: Array[Double], k: Int): Seq[(String, Double)] = {
     require(query.length == dim, s"expected dim $dim, got ${query.length}")

@@ -34,7 +34,6 @@ object PyParser {
     while (i < n) {
       val c = line(i)
       if (c == ' ' || c == '\t') i += 1
-      else if (c == '#') i = n
       else if (c == '\'' || c == '"') {
         val q = c
         val sb = new StringBuilder
@@ -181,6 +180,26 @@ object PyParser {
 
   private def indentOf(line: String): Int = line.takeWhile(_ == ' ').length
 
+  /** `line` without its comment: the code ends at the first `#` outside
+    * a string literal, read as [[lex]] reads strings (a backslash
+    * escapes the next character). A line with an unterminated string
+    * has no comment.
+    */
+  private def withoutComment(line: String): String = {
+    var quote = 0.toChar // the open string's quote, or 0 outside strings
+    var i     = 0
+    while (i < line.length) {
+      val c = line(i)
+      if (quote != 0) {
+        if (c == '\\') i += 1
+        else if (c == quote) quote = 0
+      } else if (c == '#') return line.substring(0, i)
+      else if (c == '\'' || c == '"') quote = c
+      i += 1
+    }
+    line
+  }
+
   /** Split a token list on a top-level `=` (not `==`, not inside
     * brackets); returns (lhs, rhs) token index or -1.
     */
@@ -195,20 +214,23 @@ object PyParser {
     -1
   }
 
-  /** Parse a full script into statements. */
+  /** Parse a full script into statements; a line with no code, comment
+    * only or blank, yields none.
+    */
   def parse(script: String): Seq[PyStmt] = {
     val out = ArrayBuffer.empty[PyStmt]
     script.linesIterator.zipWithIndex.foreach { case (raw, idx) =>
-      val lineNo = idx + 1
-      val text   = raw.replaceAll("#.*$", "").stripTrailing()
-      if (text.trim.nonEmpty) out += parseLine(text, lineNo, indentOf(text))
+      val code = withoutComment(raw)
+      if (code.trim.nonEmpty) out += parseLine(code, idx + 1, indentOf(code))
     }
     out.toSeq
   }
 
-  /** Parse one logical line into a statement (opaque on failure). */
+  /** Parse one logical line into a statement (opaque on failure); its
+    * `text` excludes the line's comment.
+    */
   def parseLine(text: String, lineNo: Int, indent: Int): PyStmt = {
-    val trimmed = text.trim
+    val trimmed = withoutComment(text).trim
     try {
       val toks = lex(trimmed).getOrElse(
         throw new IllegalArgumentException("lex failure"))

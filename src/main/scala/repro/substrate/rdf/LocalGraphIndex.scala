@@ -78,7 +78,10 @@ final class LocalGraphIndex private[rdf] (triples: Array[Triple]) {
 
 object LocalGraphIndex {
 
-  /** The store's index: built once per store, on first use. */
+  /** The store's index: built once per store, on first use. The same
+    * as `store.index`; kept because the benchmark's traced lake
+    * preprocessing times the index load through it.
+    */
   def fromStore(store: TripleStore): LocalGraphIndex = store.index
 
   /** The binding schema of a BGP: one column per variable, in order of

@@ -1,5 +1,6 @@
 package repro.substrate.rdf
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import org.apache.spark.sql.{Dataset, SparkSession}
@@ -12,20 +13,25 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   * array on first use; the whole-graph counts (Tables 3 and 4) scan it.
   * Duplicate triples are kept, and counted, as in any bag.
   */
-final class TripleStore private (val spark: SparkSession, triples: Array[Triple]) {
+final class TripleStore private (val spark: SparkSession, array: Array[Triple]) {
+
+  /** The triples, in the order the store was built from; a read-only
+    * view of the store's array, not a copy.
+    */
+  def triples: IndexedSeq[Triple] = ArraySeq.unsafeWrapArray(array)
 
   /** The driver-side index that evaluates this store's BGPs. */
-  lazy val index: LocalGraphIndex = new LocalGraphIndex(triples)
+  lazy val index: LocalGraphIndex = new LocalGraphIndex(array)
 
   /** Number of triples (edges). */
-  def size: Long = triples.length.toLong
+  def size: Long = array.length.toLong
 
   /** Number of distinct nodes: subjects ∪ objects, literal objects
     * included.
     */
   def nodeCount: Long = {
     val nodes = mutable.HashSet.empty[String]
-    triples.foreach { t => nodes += t.subject; nodes += t.obj }
+    array.foreach { t => nodes += t.subject; nodes += t.obj }
     nodes.size.toLong
   }
 
@@ -34,18 +40,21 @@ final class TripleStore private (val spark: SparkSession, triples: Array[Triple]
 
   /** Triple count per predicate — the Table 4 breakdown primitive. */
   def countByPredicate(): Map[String, Long] =
-    triples.groupMapReduce(_.predicate)(_ => 1L)(_ + _)
+    array.groupMapReduce(_.predicate)(_ => 1L)(_ + _)
 
   /** Rough serialized size in bytes (N-Triples-style line lengths, in
     * characters), used for the Table 3 "Size" row.
     */
   def approxSerializedBytes: Long = {
     def chars(s: String) = s.codePointCount(0, s.length).toLong
-    triples.iterator.map(t =>
+    array.iterator.map(t =>
       chars(t.graph) + chars(t.subject) + chars(t.predicate) + chars(t.obj) + 16L).sum
   }
 
-  /** A no-op: the triples are always on the driver. */
+  /** A no-op: the triples are always on the driver. Kept, with
+    * [[unpersist]], because the benchmark's store-building code calls
+    * both.
+    */
   def cache(): TripleStore = this
 
   /** A no-op: the store holds no Spark storage. */
@@ -65,7 +74,10 @@ object TripleStore {
     }.toArray)
   }
 
-  /** Build a store from a distributed Dataset of triples: one collect. */
+  /** Build a store from a distributed Dataset of triples: one collect.
+    * The Table 3/4 harnesses build their stores this way; the LiDS graph
+    * is built with [[apply]].
+    */
   def fromDataset(triples: Dataset[Triple]): TripleStore =
     apply(triples.sparkSession, triples.collect().toSeq)
 }

@@ -1,7 +1,7 @@
 package repro.core.automl
 
 import repro.SparkSpec
-import repro.core.embed.TableEmbedding
+import repro.core.embed.{ColrModel, TableEmbedding}
 import repro.data.MlDatasets
 
 /** End-to-end on-demand automation (§4): corpus → LiDS graph → example
@@ -68,7 +68,7 @@ class GnnRecommenderSpec extends SparkSpec {
   test("unary recommender flags lognormal columns for log") {
     val rng  = new scala.util.Random(4)
     val logn = (1 to 500).map(_ => f"${math.exp(rng.nextGaussian() * 1.3)}%.5f")
-    val rec  = trainedTransform.unary.recommendForColumn("float", logn)
+    val rec  = trainedTransform.unary.predictFromEmbedding(ColrModel.embed("float", logn))
     assert(TransformOps.Unaries.contains(rec))
   }
   test("table index finds the most similar training dataset") {

@@ -1,29 +1,27 @@
 package repro.core.discovery
 
 import repro.{Oracle, SparkSpec}
-import repro.core.graph.{Lids, SchemaBuilder}
+import repro.core.graph.Lids
 import repro.core.profile.DataProfiler
 import repro.data.LakeBench
-import repro.substrate.rdf.{LocalGraphIndex, TripleStore}
 
 /** Union/join discovery and the pre-defined operations over a small
   * synthetic lake with known ground truth.
   */
 class DiscoverySpec extends SparkSpec {
+  import spark.implicits._
 
   private lazy val lake = LakeBench.generate(
     LakeBench.Spec("disco", nFamilies = 4, partitionsPerFamily = 3, baseRows = 150,
                    colsMin = 5, colsMax = 7, hard = false, nQuery = 4, seed = 42))
 
-  private lazy val profiles =
-    DataProfiler.profileCells(spark, lake.cells(spark)).cache()
-  /** The dataset graph, materialized once: the oracle reads these rows,
-    * the system the store collected from them.
+  /** The lake preprocessed as the Table 2 harness does it; the oracles
+    * read the store's own triples.
     */
-  private lazy val graph =
-    SchemaBuilder.build(spark, profiles, SchemaBuilder.Thresholds()).localCheckpoint()
-  private lazy val store = TripleStore.fromDataset(graph)
-  private lazy val index = LocalGraphIndex.fromStore(store)
+  private lazy val prepared = KglidsDiscovery.preprocessCells(spark, lake.cells(spark))
+  private lazy val store    = prepared.store
+  private lazy val index    = prepared.index
+  private def triples       = store.triples.toDF()
 
   private def tid(t: String) = s"${lake.name}/$t"
 
@@ -36,8 +34,8 @@ class DiscoverySpec extends SparkSpec {
   test("preprocessing runs only the Spark jobs of profiling") {
     val cells     = lake.cells(spark)
     val profiling = sparkJobsOf(DataProfiler.profileCells(spark, cells).collect())
-    val prepared  = sparkJobsOf(KglidsDiscovery.preprocessCells(spark, cells))
-    assert(profiling > 0 && prepared == profiling, s"$prepared jobs, profiling alone $profiling")
+    val preparing = sparkJobsOf(KglidsDiscovery.preprocessCells(spark, cells))
+    assert(profiling > 0 && preparing == profiling, s"$preparing jobs, profiling alone $profiling")
   }
   test("unionable scores are in (0, 1] and sorted descending") {
     val res = UnionSearch.topKUnionable(index, tid(lake.queryTables.head), 10)
@@ -54,7 +52,6 @@ class DiscoverySpec extends SparkSpec {
     }
   }
   test("unionable scores match the DuckDB oracle") {
-    import spark.implicits._
     val q   = tid(lake.queryTables.head)
     val got = UnionSearch.topKUnionable(index, q, lake.tables.size)
     assert(got.nonEmpty)
@@ -74,7 +71,7 @@ class DiscoverySpec extends SparkSpec {
          |SELECT replace(t2, '${Lids.ResourcePrefix}', '') AS table_id,
          |       SUM(w) / (SELECT COUNT(*) FROM q) AS score
          |FROM best GROUP BY t2""".stripMargin,
-      "triples" -> graph.toDF())
+      "triples" -> triples)
   }
   test("joinable tables share content-similar columns") {
     val q   = lake.queryTables.head
@@ -139,7 +136,7 @@ class DiscoverySpec extends SparkSpec {
          |           JOIN triples l ON l.subject = p.subject AND l.predicate = '${Lids.Prop.HasLabel}'
          |           WHERE p.predicate = '${Lids.Prop.IsPartOf}')
          |SELECT replace(t, '$P', '') AS table_id FROM l GROUP BY t HAVING $having""".stripMargin,
-      "triples" -> graph.toDF())
+      "triples" -> triples)
   }
   test("findUnionableColumns matches the DuckDB oracle and sorts by score, column_1") {
     lake.queryTables.foreach { q =>
@@ -156,7 +153,7 @@ class DiscoverySpec extends SparkSpec {
            |JOIN triples b ON b.subject = m.obj AND b.predicate = '${Lids.Prop.IsPartOf}'
            |               AND b.obj = '$P$t2'
            |WHERE a.predicate = '${Lids.Prop.IsPartOf}' AND a.obj = '$P${tid(q)}'""".stripMargin,
-        "triples" -> graph.toDF())
+        "triples" -> triples)
     }
   }
   test("topKJoinable equals the joinable adjacency for every table") {

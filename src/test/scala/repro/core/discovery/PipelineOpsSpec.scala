@@ -4,7 +4,8 @@ import org.apache.spark.sql.functions.lit
 
 import repro.{Oracle, SparkSpec}
 import repro.core.automl.HyperparamRecommender
-import repro.core.graph.{Lids, LidsGraphBuilder}
+import repro.core.graph.{GraphLinker, Lids, LidsGraphBuilder, SchemaBuilder}
+import repro.core.pipeline.PipelineAbstraction
 import repro.core.profile.DataProfiler
 import repro.data.{MlDatasets, PipelineCorpus}
 import repro.substrate.rdf.{Triple, TripleStore}
@@ -20,13 +21,20 @@ class PipelineOpsSpec extends SparkSpec {
   private lazy val profiles = DataProfiler.profileCells(spark, datasets.map { d =>
     DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
   }.reduce(_ union _)).cache()
-  /** The LiDS graph as `AutomationTrainer.buildKg` builds it, materialized
-    * once: the oracle reads these rows, the ops the store collected from
-    * them.
+  private lazy val scripts = spark.createDataset(
+    PipelineCorpus.forDatasets(datasets.map(PipelineCorpus.refOf), 3, seed = 9))
+  /** The LiDS graph as `AutomationTrainer.buildKg` builds it; the oracles
+    * read the store's own triples.
     */
-  private lazy val graph = LidsGraphBuilder.graph(spark, profiles, spark.createDataset(
-    PipelineCorpus.forDatasets(datasets.map(PipelineCorpus.refOf), 3, seed = 9))).localCheckpoint()
-  private lazy val store = TripleStore.fromDataset(graph)
+  private lazy val store = LidsGraphBuilder.build(spark, profiles, scripts)
+  private def triples = store.triples.toDF()
+
+  test("the store is the schema's triples, then the linked pipelines', in order") {
+    val expected = SchemaBuilder.triples(profiles.collect().toSeq) ++
+      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles)
+        .collect()
+    assert(store.triples == expected)
+  }
 
   test("get_top_k_library_used ranks pandas and sklearn at the top") {
     val top = PredefinedOps.getTopKLibraryUsed(store, 5).collect()
@@ -84,7 +92,7 @@ class PipelineOpsSpec extends SparkSpec {
            |      FROM triples WHERE $calls)
            |WHERE library <> '' GROUP BY library
            |ORDER BY pipelines DESC, library LIMIT $k""".stripMargin,
-        "triples" -> graph.toDF())
+        "triples" -> triples)
     }
   }
   test("get_pipelines_calling_libraries matches the DuckDB oracle and sorts by votes, pipeline") {
@@ -105,7 +113,7 @@ class PipelineOpsSpec extends SparkSpec {
          |JOIN triples d ON d.subject = w.subject AND d.graph = w.graph
          |               AND d.predicate = '${Lids.Prop.AboutDataset}'
          |WHERE w.predicate = '${Lids.Prop.IsWrittenBy}' AND ${callers.mkString(" AND ")}""".stripMargin,
-      "triples" -> graph.toDF())
+      "triples" -> triples)
   }
   test("recommend_ml_models matches the DuckDB oracle and sorts by avg_score, estimator") {
     val estimators = datasets.map { d =>
@@ -130,7 +138,7 @@ class PipelineOpsSpec extends SparkSpec {
          |  AND a.obj IN (${datasets.map(d => s"'${Lids.datasetUri(d.name)}'").mkString(", ")})
          |  AND c.obj IN (${estimators.map(e => s"'${Lids.libraryUri(e)}'").mkString(", ")})
          |GROUP BY a.obj, c.obj""".stripMargin,
-      "triples" -> graph.toDF())
+      "triples" -> triples)
   }
 
   // `count()` is not covered: on a local DataFrame it is still an
@@ -151,7 +159,7 @@ class PipelineOpsSpec extends SparkSpec {
       JoinSearch.topKJoinable(store, tables(0), 3)
     }
     assert(jobs == 0)
-    assert(sparkJobsOf(graph.count()) > 0, "the listener must see a Spark job")
+    assert(sparkJobsOf(profiles.count()) > 0, "the listener must see a Spark job")
   }
 
   // Three pipelines calling SVC on table d/t; p2's votes and score are

@@ -35,9 +35,10 @@ class SchemaBuilderSpec extends SparkSpec {
       .union(DataProfiler.cellsOf(spark, "lake", "t2", t2))
       .union(DataProfiler.cellsOf(spark, "lake", "t3", t3))).cache()
 
+  private lazy val collected = profiles.collect().toSeq
   private lazy val th = SchemaBuilder.Thresholds(alpha = 0.8, beta = 0.9, theta = 0.35)
-  private lazy val metadata = SchemaBuilder.metadataGraph(spark, profiles).collect().toSeq
-  private lazy val sims     = SchemaBuilder.similarityGraph(spark, profiles, th).collect().toSeq
+  private lazy val metadata = SchemaBuilder.metadata(collected)
+  private lazy val sims     = SchemaBuilder.similarities(collected, th)
 
   test("metadata graph has type triples for dataset, tables, columns") {
     assert(metadata.count(t => t.predicate == Lids.Prop.RdfType && t.obj == Lids.Cls.Dataset) == 1)
@@ -84,7 +85,7 @@ class SchemaBuilderSpec extends SparkSpec {
     assert(sims.forall(t => tableOf(t.subject) != tableOf(t.obj)))
   }
   test("no similarity edges across fine-grained types") {
-    val typeOf = profiles.collect().map(p =>
+    val typeOf = collected.map(p =>
       (Lids.ResourcePrefix + p.columnId) -> p.fgType).toMap
     assert(sims.forall(t => typeOf(t.subject) == typeOf(t.obj)))
   }
@@ -102,16 +103,16 @@ class SchemaBuilderSpec extends SparkSpec {
     assert(sims.nonEmpty)
   }
   test("higher thresholds yield fewer edges (precision/recall lever)") {
-    val strict = SchemaBuilder.similarityGraph(spark, profiles,
-      SchemaBuilder.Thresholds(alpha = 0.999, beta = 0.999, theta = 0.999)).count()
-    assert(strict <= sims.size)
+    val strict = SchemaBuilder.similarities(collected,
+      SchemaBuilder.Thresholds(alpha = 0.999, beta = 0.999, theta = 0.999))
+    assert(strict.size < sims.size)
   }
   // ------------------------------------------- the kernel on a generated lake
   private lazy val lake = LakeBench.generate(
     LakeBench.Spec("alg3", nFamilies = 4, partitionsPerFamily = 3, baseRows = 150,
                    colsMin = 5, colsMax = 7, hard = false, nQuery = 4, seed = 42))
-  private lazy val lakeProfiles =
-    DataProfiler.profileCells(spark, lake.cells(spark)).collect().toSeq
+  private lazy val lakeProfilesDs = DataProfiler.profileCells(spark, lake.cells(spark)).cache()
+  private lazy val lakeProfiles   = lakeProfilesDs.collect().toSeq
 
   /** The similarity edges as DuckDB computes them from the profiles:
     * every pair of same-type columns in different tables, scored by
@@ -225,8 +226,15 @@ class SchemaBuilderSpec extends SparkSpec {
     assert(edges.size == 4 && edges.forall(_.weight == 0.0))
   }
   test("full build = metadata ∪ similarity, loadable as a triple store") {
-    val store = TripleStore.fromDataset(SchemaBuilder.build(spark, profiles, th))
-    assert(store.size == metadata.size + sims.size)
+    val store = TripleStore(spark, SchemaBuilder.triples(collected, th))
+    assert(store.triples == metadata ++ sims)
     assert(store.countByPredicate().contains(Lids.Prop.IsPartOf))
+  }
+  test("the Dataset wrappers return the local functions' triples, in order") {
+    val sims = SchemaBuilder.similarities(lakeProfiles)
+    assert(sims.nonEmpty)
+    assert(SchemaBuilder.metadataGraph(spark, lakeProfilesDs).collect().toSeq ==
+      SchemaBuilder.metadata(lakeProfiles))
+    assert(SchemaBuilder.similarityGraph(spark, lakeProfilesDs).collect().toSeq == sims)
   }
 }

@@ -2,6 +2,7 @@ package repro.core.pipeline
 
 import repro.SparkSpec
 import repro.core.graph.Lids
+import repro.data.PipelineCorpus
 import repro.substrate.rdf.Triple
 
 /** Pipeline Abstraction (Alg. 1) on the paper's Fig. 3 running example. */
@@ -123,6 +124,21 @@ class PipelineAbstractionSpec extends SparkSpec {
       t.obj == Lids.Cls.Class))
     assert(lib.exists(t => t.subject == Lids.libraryUri("pandas") &&
       t.obj == Lids.Cls.Library))
+  }
+  test("a # inside the read_csv path still predicts the table read") {
+    val hashed = rec.copy(script = "import pandas as pd\ndf = pd.read_csv('data#1/t.csv')\n")
+    assert(PipelineAbstraction.abstractScript(hashed).filter(_.predicate == Lids.Prop.ReadsTable)
+      .map(_.obj) == Seq(Lids.tableUri("data#1", "t")))
+  }
+  test("comments leave the abstraction unchanged (metamorphic)") {
+    PipelineCorpus.abstractionCorpus(50, seed = 17).foreach { r =>
+      val commented = r.script.linesIterator.zipWithIndex.map { case (line, i) =>
+        val note = if (i % 3 == 0) s"${line.takeWhile(_ == ' ')}# step $i\n" else ""
+        s"$note$line  # it's a 'comment'"
+      }.mkString("", "\n", "\n")
+      assert(PipelineAbstraction.abstractScript(r.copy(script = commented)) ==
+        PipelineAbstraction.abstractScript(r), r.id)
+    }
   }
   test("abstraction is deterministic") {
     assert(PipelineAbstraction.abstractScript(rec) == triples)

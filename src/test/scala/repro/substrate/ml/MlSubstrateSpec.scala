@@ -20,7 +20,8 @@ class MlSubstrateSpec extends SparkSpec {
   }
   test("vector index nearest and vectorOf") {
     val idx = new VectorIndex(2)
-    idx.addAll(Seq("x" -> Array(1.0, 0.0), "y" -> Array(0.0, 1.0)))
+    idx.add("x", Array(1.0, 0.0))
+    idx.add("y", Array(0.0, 1.0))
     assert(idx.nearest(Array(0.1, 0.9)).map(_._1).contains("y"))
     assert(idx.vectorOf("x").get.sameElements(Array(1.0, 0.0)))
     assert(idx.vectorOf("nope").isEmpty)

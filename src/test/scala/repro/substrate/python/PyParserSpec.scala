@@ -124,6 +124,18 @@ class PyParserSpec extends SparkSpec with PropSpec {
       case other => fail(other.toString)
     }
   }
+  test("a # inside a keyword string argument is kept") {
+    one("df = pd.read_csv('a.csv', sep='#')  # the separator") match {
+      case PyAssign(_, Seq(PyCall(_, args)), _, _, text) =>
+        assert(args == Seq(PyArg(None, PyStr("a.csv")), PyArg(Some("sep"), PyStr("#"))))
+        assert(text == "df = pd.read_csv('a.csv', sep='#')")
+      case other => fail(other.toString)
+    }
+  }
+  test("a comment-only line yields no statement; a trailing comment is not in the text") {
+    val stmts = PyParser.parse("# load\n  # indented note\nx = f('#', \"it's\")  # call f\n")
+    assert(stmts.map(s => (s.line, s.text)) == Seq((3, "x = f('#', \"it's\")")))
+  }
   test("indentation is recorded") {
     val stmts = PyParser.parse("for c in [1]:\n    x = c\ny = 2")
     assert(stmts.map(_.indent) == Seq(0, 4, 0))
