@@ -28,9 +28,8 @@ object Table1Harness {
     LakeBench.santosLiteSmall, LakeBench.santosLiteLarge)
 
   def statsOf(spark: SparkSession, lake: Lake): LakeStats = {
-    import spark.implicits._
-    val profiles = DataProfiler.profileCells(spark, lake.cells(spark))
-    val byType = profiles.groupByKey(_.fgType).count().collect().toMap
+    val byType = DataProfiler.profile(lake.cells(spark))
+      .groupBy(_.fgType).map { case (t, ps) => t -> ps.size.toLong }
     LakeStats(
       name = lake.name,
       sizeMb = lake.totalSizeBytes / 1024.0 / 1024.0,

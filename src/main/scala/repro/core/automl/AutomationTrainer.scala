@@ -34,14 +34,11 @@ object AutomationTrainer {
     val cells = datasets.map { d =>
       DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
     }.reduce(_ union _)
-    val profiles = DataProfiler.profileCells(spark, cells).cache()
+    val profiles = DataProfiler.profile(cells)
     val scripts = PipelineCorpus.forDatasets(
       datasets.map(PipelineCorpus.refOf), pipelinesPer, seed)
-    // materializes the cached profiles before the graph's branches read them
-    val byTable = profiles.collect().toSeq.groupBy(_.tableId)
     val store = LidsGraphBuilder.build(spark, profiles, spark.createDataset(scripts))
-    profiles.unpersist()
-    (store, byTable)
+    (store, profiles.groupBy(_.tableId))
   }
 
   /** Train all three recommenders from a built KG. */

@@ -42,7 +42,7 @@ object ColrModel {
 
   /** Embed a column from its sampled non-null string values. */
   def embed(fgType: String, sample: Seq[String]): Array[Double] = {
-    val values = sample.filter(v => v != null && v.trim.nonEmpty).map(_.trim)
+    val values = ColumnStats.nonBlank(sample).map(_.trim)
     if (values.isEmpty) return Array.fill(Dim)(0.0)
     fgType match {
       case FineGrainedType.Int | FineGrainedType.Float =>

@@ -18,9 +18,11 @@ object LidsGraphBuilder {
     * order they are collected; the GNN examples are extracted in this
     * order.
     */
-  def build(spark: SparkSession, profiles: Dataset[ColumnProfile],
-            scripts: Dataset[ScriptRecord]): TripleStore =
-    TripleStore(spark, SchemaBuilder.triples(profiles.collect().toSeq) ++
-      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles)
-        .collect())
+  def build(spark: SparkSession, profiles: Seq[ColumnProfile],
+            scripts: Dataset[ScriptRecord]): TripleStore = {
+    import spark.implicits._
+    TripleStore(spark, SchemaBuilder.triples(profiles) ++
+      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts),
+        spark.createDataset(profiles)).collect())
+  }
 }

@@ -3,7 +3,7 @@ package repro.core.profile
 /** A column profile (output of Alg. 2): membership metadata `M`, the
   * inferred fine-grained type `fgt`, statistics `S`, and the CoLR +
   * label embeddings `E`. One instance per column of the data lake; these
-  * are the rows of the profile Dataset that Alg. 3 pairs up.
+  * are what the profiler returns and what Alg. 3 pairs up.
   */
 case class ColumnProfile(
     datasetName: String,

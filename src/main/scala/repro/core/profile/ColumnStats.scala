@@ -13,9 +13,17 @@ object ColumnStats {
     */
   def isTrue(v: String): Boolean = trueish.contains(v.trim.toLowerCase)
 
-  /** Ratio of boolean-true values (Alg. 3 compares booleans by this). */
+  /** The sample without its blank cells: null, empty or whitespace
+    * only. Type inference, the true ratio and CoLR read only these.
+    */
+  def nonBlank(sample: Seq[String]): Seq[String] =
+    sample.filter(v => v != null && v.trim.nonEmpty)
+
+  /** Ratio of boolean-true values among the non-blank ones (Alg. 3
+    * compares booleans by this).
+    */
   def trueRatio(sample: Seq[String]): Double = {
-    val vals = sample.filter(v => v != null && v.nonEmpty)
+    val vals = nonBlank(sample)
     if (vals.isEmpty) 0.0
     else vals.count(isTrue).toDouble / vals.size
   }

@@ -1,30 +1,79 @@
 package repro.core.profile
 
+import scala.collection.mutable
+import scala.collection.parallel.CollectionConverters._
+
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.catalyst.expressions.SpecificInternalRow
+import org.apache.spark.sql.catalyst.util.HyperLogLogPlusPlusHelper
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{LongType, StringType}
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.core.embed.ColrModel
 import repro.substrate.text.WordEmbedding
 
-/** Scalable data profiling (Alg. 2), expressed as a DataFrame program.
+/** Scalable data profiling (Alg. 2): one Spark scan, then a per-column
+  * kernel on the driver.
   *
   * A data lake is represented as one *cells* DataFrame with schema
-  * `(dataset, table, column, row, value)` — the column is the unit of
-  * parallelism, exactly as in the paper's PySpark profiler: the cells
-  * are grouped per column, a deterministic ~`samplePct`% value sample
-  * (never fewer than `minSample` rows) is collected, and each group is
-  * profiled independently on executors (type inference → statistics →
-  * CoLR + label embeddings).
+  * `(dataset, table, column, row, value)`; the column is the unit of
+  * profiling, as in the paper's PySpark profiler. Spark evaluates a
+  * narrow projection of the cells with a deterministic ~`samplePct`%
+  * sample gate (never fewer than `minSample` rows) and the result is
+  * collected once. One pass over it keeps, per column, the exact total
+  * and non-null counts, a HyperLogLog++ sketch of the non-null values
+  * (Heule, Nelson & Hahn, EDBT 2013: the sketch and relative SD of
+  * Spark's `approx_count_distinct`, so the distinct count is Spark's)
+  * and the in-sample non-null values in row order. The columns are then
+  * profiled in parallel (type inference → statistics → CoLR + label
+  * embeddings).
   */
 object DataProfiler {
 
   /** One cell of a lake table; `row` is the row ordinal inside the table. */
   case class Cell(dataset: String, table: String, column: String, row: Long, value: String)
 
-  /** Per-column aggregation row (public: Catalyst codegen instantiates it). */
-  case class Grouped(
-      dataset: String, table: String, column: String,
-      total: Long, nonNull: Long, distinct: Long, sample: Seq[String])
+  /** Relative SD of the distinct-count sketch: `approx_count_distinct`'s default. */
+  val DistinctRsd = 0.05
+
+  private val hll = new HyperLogLogPlusPlusHelper(DistinctRsd)
+
+  /** What one column's cells leave after the scan: exact counts, the
+    * distinct-count sketch and the in-sample non-null values.
+    */
+  private[profile] final class ColumnScan(val dataset: String, val table: String,
+                                          val column: String) {
+    var total   = 0L
+    var nonNull = 0L
+    private val sketch     = new SpecificInternalRow(Seq.fill(hll.numWords)(LongType))
+    private val sampleRows = mutable.ArrayBuffer.empty[Long]
+    private val sampleVals = mutable.ArrayBuffer.empty[String]
+    private var inRowOrder = true
+    (0 until hll.numWords).foreach(sketch.setLong(_, 0L))
+
+    def add(row: Long, value: String, inSample: Boolean): Unit = {
+      total += 1
+      if (value != null) {
+        nonNull += 1
+        hll.update(sketch, 0, UTF8String.fromString(value), StringType)
+        if (inSample) {
+          if (sampleRows.nonEmpty && row < sampleRows.last) inRowOrder = false
+          sampleRows += row
+          sampleVals += value
+        }
+      }
+    }
+
+    def distinct: Long = hll.query(sketch, 0)
+
+    /** The in-sample non-null values in row order: the scan's order,
+      * unless the cells arrived out of row order.
+      */
+    def sample: Seq[String] =
+      if (inRowOrder) sampleVals.toSeq
+      else sampleRows.indices.sortBy(sampleRows).map(sampleVals)
+  }
 
   /** Turn a regular DataFrame into profiler cells. Every column is cast
     * to string; `row` is a per-table ordinal used for deterministic
@@ -47,51 +96,70 @@ object DataProfiler {
       )
   }
 
-  /** Profile a cells DataFrame into one [[ColumnProfile]] per column.
-    *
-    * @param samplePct  percentage of rows sampled per column (paper: 10)
-    * @param minSample  minimum sample size (paper: 1000)
+  /** Scan a cells DataFrame in one Spark job: one [[ColumnScan]] per
+    * column, in order of first appearance.
     */
-  def profileCells(spark: SparkSession, cells: DataFrame,
-                   samplePct: Int = 10, minSample: Int = 1000): Dataset[ColumnProfile] = {
-    import spark.implicits._
+  private[profile] def scan(cells: DataFrame, samplePct: Int, minSample: Int): Seq[ColumnScan] = {
     // Deterministic sample gate: hash of (table, column, row) — stable
     // across runs so the DuckDB oracle sees identical profiles.
     val inSample =
       (pmod(xxhash64(col("table"), col("column"), col("row")), lit(100L)) < lit(samplePct.toLong)) ||
         (col("row") < lit(minSample.toLong))
-
+    val columns = mutable.LinkedHashMap.empty[(String, String, String), ColumnScan]
     cells
-      .groupBy("dataset", "table", "column")
-      .agg(
-        count(lit(1)).as("total"),
-        count(col("value")).as("nonNull"),
-        approx_count_distinct(col("value")).as("distinct"),
-        collect_list(when(inSample, col("value"))).as("sample"),
-      )
-      .as[Grouped]
-      .map(profileGroup)
+      .select(col("dataset"), col("table"), col("column"), col("row"), col("value"), inSample)
+      .collect()
+      .foreach { r =>
+        val key = (r.getString(0), r.getString(1), r.getString(2))
+        columns.getOrElseUpdate(key, new ColumnScan(key._1, key._2, key._3))
+          .add(r.getLong(3), r.getString(4), r.getBoolean(5))
+      }
+    columns.values.toSeq
   }
 
-  /** Profile one grouped column — runs on executors. */
-  private def profileGroup(g: Grouped): ColumnProfile = {
-    val sample = g.sample.filter(_ != null)
-    val fgt    = TypeInference.infer(sample)
+  /** Profile a cells DataFrame into one [[ColumnProfile]] per column, in
+    * order of first appearance; Spark runs one job.
+    *
+    * @param samplePct  percentage of rows sampled per column (paper: 10)
+    * @param minSample  minimum sample size (paper: 1000)
+    */
+  def profile(cells: DataFrame, samplePct: Int = 10, minSample: Int = 1000): Seq[ColumnProfile] =
+    scan(cells, samplePct, minSample).par.map { s =>
+      profileGroup(s.dataset, s.table, s.column, s.total, s.nonNull, s.distinct, s.sample)
+    }.seq
+
+  // The benchmark's traced lake preprocessing and its self-test call
+  // this; every other caller profiles with `profile`.
+
+  /** [[profile]] of the cells, as a local Dataset. */
+  def profileCells(spark: SparkSession, cells: DataFrame,
+                   samplePct: Int = 10, minSample: Int = 1000): Dataset[ColumnProfile] = {
+    import spark.implicits._
+    spark.createDataset(profile(cells, samplePct, minSample))
+  }
+
+  /** Profile one column from its counts and its in-sample non-null
+    * values (Alg. 2's per-column step).
+    */
+  private[profile] def profileGroup(dataset: String, table: String, column: String,
+                                    total: Long, nonNull: Long, distinct: Long,
+                                    sample: Seq[String]): ColumnProfile = {
+    val fgt = TypeInference.infer(sample)
     val (mean, std, mn, mx) =
       if (FineGrainedType.isNumeric(fgt)) ColumnStats.numericStats(sample)
       else (0.0, 0.0, 0.0, 0.0)
     ColumnProfile(
-      datasetName = g.dataset,
-      tableName = g.table,
-      columnName = g.column,
+      datasetName = dataset,
+      tableName = table,
+      columnName = column,
       fgType = fgt,
-      totalCount = g.total,
-      nonNullCount = g.nonNull,
-      distinctCount = g.distinct,
+      totalCount = total,
+      nonNullCount = nonNull,
+      distinctCount = distinct,
       trueRatio = if (fgt == FineGrainedType.Boolean) ColumnStats.trueRatio(sample) else 0.0,
       mean = mean, std = std, minVal = mn, maxVal = mx,
       embedding = ColrModel.embed(fgt, sample),
-      labelEmbedding = WordEmbedding.labelEmbedding(g.column),
+      labelEmbedding = WordEmbedding.labelEmbedding(column),
     )
   }
 
@@ -101,6 +169,5 @@ object DataProfiler {
     */
   def profileTable(spark: SparkSession, datasetName: String, tableName: String,
                    df: DataFrame): Seq[ColumnProfile] =
-    profileCells(spark, cellsOf(spark, datasetName, tableName, df))
-      .collect().toSeq.sortBy(_.columnName)
+    profile(cellsOf(spark, datasetName, tableName, df)).sortBy(_.columnName)
 }

@@ -57,7 +57,7 @@ object TypeInference {
 
   /** Infer the fine-grained type of a column from sampled values. */
   def infer(sample: Seq[String]): String = {
-    val values = sample.filter(v => v != null && v.trim.nonEmpty)
+    val values = ColumnStats.nonBlank(sample)
     if (values.isEmpty) FineGrainedType.Str
     else if (mostly(values, isBoolean)) FineGrainedType.Boolean
     else if (mostly(values, isInt)) FineGrainedType.Int

@@ -18,9 +18,9 @@ class PipelineOpsSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val datasets = MlDatasets.cleaningTrainingCorpus(2)
-  private lazy val profiles = DataProfiler.profileCells(spark, datasets.map { d =>
+  private lazy val profiles = DataProfiler.profile(datasets.map { d =>
     DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
-  }.reduce(_ union _)).cache()
+  }.reduce(_ union _))
   private lazy val scripts = spark.createDataset(
     PipelineCorpus.forDatasets(datasets.map(PipelineCorpus.refOf), 3, seed = 9))
   /** The LiDS graph as `AutomationTrainer.buildKg` builds it; the oracles
@@ -30,8 +30,8 @@ class PipelineOpsSpec extends SparkSpec {
   private def triples = store.triples.toDF()
 
   test("the store is the schema's triples, then the linked pipelines', in order") {
-    val expected = SchemaBuilder.triples(profiles.collect().toSeq) ++
-      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles)
+    val expected = SchemaBuilder.triples(profiles) ++
+      GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles.toDS())
         .collect()
     assert(store.triples == expected)
   }
@@ -145,7 +145,7 @@ class PipelineOpsSpec extends SparkSpec {
   // aggregate with an exchange, two Spark jobs in Spark 4.1.
   test("the KGLiDS Interfaces ops and collecting their rows run no Spark job") {
     store.index
-    val tables = profiles.map(_.tableId).distinct().collect().toSeq.sorted
+    val tables = profiles.map(_.tableId).distinct.sorted
     val d = datasets.head
     val (cls, module, _) = PipelineCorpus.estimatorFor(d.name)
     val jobs = sparkJobsOf {
@@ -159,7 +159,7 @@ class PipelineOpsSpec extends SparkSpec {
       JoinSearch.topKJoinable(store, tables(0), 3)
     }
     assert(jobs == 0)
-    assert(sparkJobsOf(profiles.count()) > 0, "the listener must see a Spark job")
+    assert(sparkJobsOf(scripts.count()) > 0, "the listener must see a Spark job")
   }
 
   // Three pipelines calling SVC on table d/t; p2's votes and score are

@@ -3,6 +3,7 @@ package repro.core.embed
 import scala.util.Random
 
 import repro.SparkSpec
+import repro.core.profile.{ColumnStats, TypeInference}
 import repro.core.profile.FineGrainedType._
 
 /** CoLR embedding invariances (§3.2): overlap, distribution shape,
@@ -19,6 +20,13 @@ class ColrModelSpec extends SparkSpec {
   test("empty sample embeds to zero") {
     assert(ColrModel.embed(Str, Seq.empty).forall(_ == 0.0))
     assert(ColrModel.embed(Float, Seq(null, " ")).forall(_ == 0.0))
+  }
+  test("a blank cell counts nowhere: not in the true ratio, the type or the CoLR vector") {
+    val withBlank = Seq("true", "true", " ", "false")
+    val without   = Seq("true", "true", "false")
+    assert(ColumnStats.trueRatio(withBlank) == 2.0 / 3)
+    assert(TypeInference.infer(withBlank) == Boolean)
+    assert(ColrModel.embed(Boolean, withBlank).sameElements(ColrModel.embed(Boolean, without)))
   }
   test("identical numeric columns embed identically") {
     val v = Seq("1.5", "2.0", "3.25", "0.5")

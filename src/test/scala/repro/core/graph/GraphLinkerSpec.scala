@@ -15,8 +15,8 @@ class GraphLinkerSpec extends SparkSpec {
     (4, "male", 35.0, 0), (5, "male", 28.0, 1),
   ).toDF("PassengerId", "Sex", "Age", "Survived")
 
-  private lazy val profiles = DataProfiler.profileCells(spark,
-    DataProfiler.cellsOf(spark, "titanic", "train", trainDf)).cache()
+  private lazy val profiles = DataProfiler.profile(
+    DataProfiler.cellsOf(spark, "titanic", "train", trainDf))
 
   private val script =
     """import pandas as pd
@@ -34,7 +34,7 @@ class GraphLinkerSpec extends SparkSpec {
       PipelineAbstraction.abstractScript(
         ScriptRecord("pipeline/titanic/0", "titanic", "a", 1, 0.9, script))))
       .flatMap(identity)
-    GraphLinker.link(spark, raw, profiles).collect().toSeq
+    GraphLinker.link(spark, raw, profiles.toDS()).collect().toSeq
   }
 
   test("existing column reads survive linking") {

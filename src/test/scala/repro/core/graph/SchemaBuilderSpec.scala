@@ -30,12 +30,10 @@ class SchemaBuilderSpec extends SparkSpec {
     ("PRD-3", "2020-03-01", 160.25),
   ).toDF("sku", "listed_on", "height_cm")
 
-  private lazy val profiles = DataProfiler.profileCells(spark,
+  private lazy val collected = DataProfiler.profile(
     DataProfiler.cellsOf(spark, "lake", "t1", t1)
       .union(DataProfiler.cellsOf(spark, "lake", "t2", t2))
-      .union(DataProfiler.cellsOf(spark, "lake", "t3", t3))).cache()
-
-  private lazy val collected = profiles.collect().toSeq
+      .union(DataProfiler.cellsOf(spark, "lake", "t3", t3)))
   private lazy val th = SchemaBuilder.Thresholds(alpha = 0.8, beta = 0.9, theta = 0.35)
   private lazy val metadata = SchemaBuilder.metadata(collected)
   private lazy val sims     = SchemaBuilder.similarities(collected, th)
@@ -111,8 +109,7 @@ class SchemaBuilderSpec extends SparkSpec {
   private lazy val lake = LakeBench.generate(
     LakeBench.Spec("alg3", nFamilies = 4, partitionsPerFamily = 3, baseRows = 150,
                    colsMin = 5, colsMax = 7, hard = false, nQuery = 4, seed = 42))
-  private lazy val lakeProfilesDs = DataProfiler.profileCells(spark, lake.cells(spark)).cache()
-  private lazy val lakeProfiles   = lakeProfilesDs.collect().toSeq
+  private lazy val lakeProfiles = DataProfiler.profile(lake.cells(spark))
 
   /** The similarity edges as DuckDB computes them from the profiles:
     * every pair of same-type columns in different tables, scored by
@@ -233,8 +230,8 @@ class SchemaBuilderSpec extends SparkSpec {
   test("the Dataset wrappers return the local functions' triples, in order") {
     val sims = SchemaBuilder.similarities(lakeProfiles)
     assert(sims.nonEmpty)
-    assert(SchemaBuilder.metadataGraph(spark, lakeProfilesDs).collect().toSeq ==
+    assert(SchemaBuilder.metadataGraph(spark, lakeProfiles.toDS()).collect().toSeq ==
       SchemaBuilder.metadata(lakeProfiles))
-    assert(SchemaBuilder.similarityGraph(spark, lakeProfilesDs).collect().toSeq == sims)
+    assert(SchemaBuilder.similarityGraph(spark, lakeProfiles.toDS()).collect().toSeq == sims)
   }
 }

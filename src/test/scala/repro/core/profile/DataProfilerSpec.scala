@@ -1,12 +1,14 @@
 package repro.core.profile
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
 import repro.core.embed.{ColrModel, TableEmbedding}
+import repro.data.LakeBench
 
-/** Data profiling (Alg. 2) on Spark, with DuckDB oracle checks on the
-  * statistics the profiler computes.
+/** Data profiling (Alg. 2): one Spark scan and a driver-side kernel,
+  * checked against DuckDB and against Spark's own aggregates.
   */
 class DataProfilerSpec extends SparkSpec {
   import spark.implicits._
@@ -84,13 +86,27 @@ class DataProfilerSpec extends SparkSpec {
     assert(cells.count() == 25)
     assert(cells.filter(col("value").isNull).count() == 4)
   }
-  test("profileCells scales over multiple tables in one pass") {
+  test("profile covers multiple tables in one pass, in order of first appearance") {
     val cells = DataProfiler.cellsOf(spark, "shop", "customers", df)
       .union(DataProfiler.cellsOf(spark, "shop", "orders",
         Seq((1, 9.99), (2, 19.99)).toDF("order_id", "total")))
-    val ps = DataProfiler.profileCells(spark, cells).collect()
-    assert(ps.length == 7)
-    assert(ps.count(_.tableName == "orders") == 2)
+    val ps = DataProfiler.profile(cells)
+    assert(ps.map(p => s"${p.tableName}.${p.columnName}") == Seq(
+      "customers.age", "customers.country", "customers.review", "customers.active",
+      "customers.signup_date", "orders.order_id", "orders.total"))
+  }
+  test("profiling a table runs one Spark job") {
+    assert(sparkJobsOf(DataProfiler.profileTable(spark, "shop", "customers", df)) == 1)
+  }
+  test("a zero-row frame gives no profiles") {
+    assert(DataProfiler.profileTable(spark, "shop", "customers", df.filter(lit(false))).isEmpty)
+  }
+  test("an all-null column is a string column with a zero CoLR vector") {
+    val nulls = Seq[(Int, Option[String])]((1, None), (2, None), (3, None)).toDF("id", "note")
+    val note  = DataProfiler.profileTable(spark, "shop", "notes", nulls).find(_.columnName == "note").get
+    assert(note.fgType == FineGrainedType.Str)
+    assert(note.totalCount == 3 && note.nonNullCount == 0 && note.distinctCount == 0)
+    assert(note.embedding.length == ColrModel.Dim && note.embedding.forall(_ == 0.0))
   }
   test("table embedding (Eq. 1) concatenates per-type means") {
     val emb = TableEmbedding.fromProfiles(profiles)
@@ -105,5 +121,84 @@ class DataProfilerSpec extends SparkSpec {
     assert(withNulls.nonEmpty)
     val expected = TableEmbedding.fromProfiles(withNulls)
     assert(emb.sameElements(expected))
+  }
+
+  // ------------------------------------- reference checks on a generated lake
+  private val SamplePct = 10
+  private val MinSample = 100
+
+  /** A generated lake's cells with every 11th cell of a column blanked
+    * to null, in row order across 7 partitions: tables and columns span
+    * partitions.
+    */
+  private lazy val lakeCells: DataFrame = {
+    val lake = LakeBench.generate(
+      LakeBench.Spec("prof", nFamilies = 2, partitionsPerFamily = 3, baseRows = 1500,
+                     colsMin = 4, colsMax = 6, hard = false, nQuery = 2, seed = 5))
+    val cells = lake.cells(spark).as[DataProfiler.Cell].collect().toSeq.map { c =>
+      if ((c.row + c.column.length) % 11 == 0) c.copy(value = null) else c
+    }
+    spark.createDataset(spark.sparkContext.parallelize(cells, 7)).toDF().cache()
+  }
+  private lazy val lakeProfiles = DataProfiler.profile(lakeCells, SamplePct, MinSample)
+  private def key(p: ColumnProfile) = (p.datasetName, p.tableName, p.columnName)
+
+  /** The profiler's sample gate, as a Spark column. */
+  private val inSample =
+    (pmod(xxhash64(col("table"), col("column"), col("row")), lit(100L)) < lit(SamplePct.toLong)) ||
+      (col("row") < lit(MinSample.toLong))
+
+  test("total and non-null counts equal DuckDB's on a multi-partition lake") {
+    assert(lakeCells.rdd.getNumPartitions == 7 && lakeCells.filter(col("value").isNull).count() > 0)
+    Oracle.assertEquivalent(
+      lakeProfiles.map(p => (p.tableName, p.columnName, p.totalCount, p.nonNullCount))
+        .toDF("tbl", "col", "total", "non_null"),
+      """SELECT tbl, col, count(*) AS total, count(v) AS non_null FROM cells GROUP BY tbl, col""",
+      "cells" -> lakeCells.select(col("table").as("tbl"), col("column").as("col"), col("value").as("v")))
+  }
+  test("distinct counts equal Spark's approx_count_distinct per column") {
+    val expected = lakeCells.groupBy("dataset", "table", "column")
+      .agg(approx_count_distinct(col("value")).as("d"))
+      .as[(String, String, String, Long)].collect()
+      .map { case (d, t, c, n) => (d, t, c) -> n }.toMap
+    assert(expected.values.exists(_ > 500), "the check needs columns past HLL++'s small range")
+    assert(lakeProfiles.map(p => key(p) -> p.distinctCount).toMap == expected)
+  }
+  test("each sample holds the values Spark's collect_list gates in") {
+    val expected = lakeCells.groupBy("dataset", "table", "column")
+      .agg(collect_list(when(inSample, col("value"))).as("s"))
+      .as[(String, String, String, Seq[String])].collect()
+      .map { case (d, t, c, s) => (d, t, c) -> s.sorted }.toMap
+    val scans = DataProfiler.scan(lakeCells, SamplePct, MinSample)
+    assert(scans.exists(s => s.sample.size < s.nonNull), "the gate must leave values out")
+    assert(scans.map(s => (s.dataset, s.table, s.column) -> s.sample.sorted).toMap == expected)
+  }
+
+  /** Every field, arrays by element: the profiles are equal bit for bit. */
+  private def assertSameProfile(a: ColumnProfile, b: ColumnProfile): Unit = {
+    assert(a.copy(embedding = null, labelEmbedding = null) ==
+      b.copy(embedding = null, labelEmbedding = null))
+    assert(a.embedding.sameElements(b.embedding) && a.labelEmbedding.sameElements(b.labelEmbedding))
+  }
+
+  test("a column spanning two partitions is profiled from its values in row order") {
+    val (d, t, c) = lakeCells.withColumn("part", spark_partition_id())
+      .groupBy("dataset", "table", "column")
+      .agg(countDistinct(col("part")).as("parts"))
+      .filter(col("parts") === 2)
+      .orderBy("dataset", "table", "column")
+      .select("dataset", "table", "column").as[(String, String, String)].head()
+    val cells = lakeCells.filter(col("table") === t && col("column") === c)
+    val inOrder = cells.orderBy("row").select(when(inSample, col("value")))
+      .as[String].collect().toSeq.filter(_ != null)
+    val got = lakeProfiles.find(p => key(p) == (d, t, c)).get
+    assertSameProfile(got, DataProfiler.profileGroup(d, t, c, cells.count(),
+      cells.filter(col("value").isNotNull).count(), got.distinctCount, inOrder))
+  }
+  test("profiles do not depend on the order the cells arrive in") {
+    val shuffled = DataProfiler.profile(lakeCells.repartition(5), SamplePct, MinSample)
+      .map(p => key(p) -> p).toMap
+    assert(shuffled.size == lakeProfiles.size)
+    lakeProfiles.foreach(p => assertSameProfile(shuffled(key(p)), p))
   }
 }
