@@ -31,7 +31,7 @@ class DiscoverySpec extends SparkSpec {
     val gt  = lake.unionableGroundTruth(q).map(tid)
     assert(got == gt, s"expected $gt got $got")
   }
-  test("preprocessing runs only the Spark job of profiling") {
+  test("preprocessing runs only the Spark jobs of profiling") {
     // staged as the Table 2 harness stages them; a scan of the bare local
     // cells runs no Spark job at all
     val cells = lake.cells(spark).cache()

@@ -86,11 +86,11 @@ class DataProfilerSpec extends SparkSpec {
     assert(cells.count() == 25)
     assert(cells.filter(col("value").isNull).count() == 4)
   }
-  test("profile covers multiple tables in one pass, in order of first appearance") {
+  test("profileCells scales over multiple tables in one pass") {
     val cells = DataProfiler.cellsOf(spark, "shop", "customers", df)
       .union(DataProfiler.cellsOf(spark, "shop", "orders",
         Seq((1, 9.99), (2, 19.99)).toDF("order_id", "total")))
-    val ps = DataProfiler.profile(cells)
+    val ps = DataProfiler.profileCells(spark, cells).collect().toSeq
     assert(ps.map(p => s"${p.tableName}.${p.columnName}") == Seq(
       "customers.age", "customers.country", "customers.review", "customers.active",
       "customers.signup_date", "orders.order_id", "orders.total"))
