@@ -4,9 +4,11 @@ import scala.collection.mutable
 import scala.collection.parallel.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.catalyst.expressions.SpecificInternalRow
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast, SpecificInternalRow, XxHash64Function}
 import org.apache.spark.sql.catalyst.util.HyperLogLogPlusPlusHelper
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.internal.SQLConf
 import org.apache.spark.sql.types.{LongType, StringType}
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -19,13 +21,13 @@ import repro.substrate.text.WordEmbedding
   * A data lake is represented as one *cells* DataFrame with schema
   * `(dataset, table, column, row, value)`; the column is the unit of
   * profiling, as in the paper's PySpark profiler. Spark evaluates a
-  * narrow projection of the cells with a deterministic ~`samplePct`%
-  * sample gate (never fewer than `minSample` rows) and the result is
-  * collected once. One pass over it keeps, per column, the exact total
-  * and non-null counts, a HyperLogLog++ sketch of the non-null values
-  * (Heule, Nelson & Hahn, EDBT 2013: the sketch and relative SD of
-  * Spark's `approx_count_distinct`, so the distinct count is Spark's)
-  * and the in-sample non-null values in row order. The columns are then
+  * narrow projection of the cells and the result is collected once. One
+  * pass over it keeps, per column, the exact total and non-null counts,
+  * a HyperLogLog++ sketch of the non-null values (Heule, Nelson & Hahn,
+  * EDBT 2013: the sketch and relative SD of Spark's
+  * `approx_count_distinct`, so the distinct count is Spark's) and, in
+  * row order, the non-null values of a deterministic ~`samplePct`% row
+  * sample (never fewer than `minSample` rows). The columns are then
   * profiled in parallel (type inference → statistics → CoLR + label
   * embeddings).
   */
@@ -37,27 +39,47 @@ object DataProfiler {
   /** Relative SD of the distinct-count sketch: `approx_count_distinct`'s default. */
   val DistinctRsd = 0.05
 
+  /** The paper's sample: 10% of a column's rows, never fewer than 1000. */
+  val SamplePct = 10
+  val MinSample = 1000
+
+  /** The seed of Spark's `xxhash64`. */
+  private val XxHashSeed = 42L
+
   private val hll = new HyperLogLogPlusPlusHelper(DistinctRsd)
 
   /** What one column's cells leave after the scan: exact counts, the
     * distinct-count sketch and the in-sample non-null values.
+    *
+    * The sample gate is deterministic, a hash of (table, column, row), so
+    * the DuckDB oracle sees identical profiles: a row is in the sample
+    * when `pmod(xxhash64(table, column, row), 100) < samplePct` or
+    * `row < minSample`. It is Spark's `xxhash64`, folded here over the
+    * column's two names once and over each row's ordinal per cell.
     */
   private[profile] final class ColumnScan(val dataset: String, val table: String,
-                                          val column: String) {
+                                          val column: String, samplePct: Int, minSample: Int) {
     var total   = 0L
     var nonNull = 0L
     private val sketch     = new SpecificInternalRow(Seq.fill(hll.numWords)(LongType))
     private val sampleRows = mutable.ArrayBuffer.empty[Long]
     private val sampleVals = mutable.ArrayBuffer.empty[String]
     private var inRowOrder = true
+    private val gateSeed   = Seq(table, column).foldLeft(XxHashSeed) { (h, name) =>
+      XxHash64Function.hash(UTF8String.fromString(name), StringType, h)
+    }
     (0 until hll.numWords).foreach(sketch.setLong(_, 0L))
 
-    def add(row: Long, value: String, inSample: Boolean): Unit = {
+    private def inSample(row: Long): Boolean =
+      Math.floorMod(XxHash64Function.hash(row, LongType, gateSeed), 100L) < samplePct ||
+        row < minSample
+
+    def add(row: Long, value: String): Unit = {
       total += 1
       if (value != null) {
         nonNull += 1
         hll.update(sketch, 0, UTF8String.fromString(value), StringType)
-        if (inSample) {
+        if (inSample(row)) {
           if (sampleRows.nonEmpty && row < sampleRows.last) inRowOrder = false
           sampleRows += row
           sampleVals += value
@@ -73,6 +95,8 @@ object DataProfiler {
     def sample: Seq[String] =
       if (inRowOrder) sampleVals.toSeq
       else sampleRows.indices.sortBy(sampleRows).map(sampleVals)
+
+    def profile: ColumnProfile = profileGroup(dataset, table, column, total, nonNull, distinct, sample)
   }
 
   /** Turn a regular DataFrame into profiler cells. Every column is cast
@@ -100,19 +124,14 @@ object DataProfiler {
     * column, in order of first appearance.
     */
   private[profile] def scan(cells: DataFrame, samplePct: Int, minSample: Int): Seq[ColumnScan] = {
-    // Deterministic sample gate: hash of (table, column, row) — stable
-    // across runs so the DuckDB oracle sees identical profiles.
-    val inSample =
-      (pmod(xxhash64(col("table"), col("column"), col("row")), lit(100L)) < lit(samplePct.toLong)) ||
-        (col("row") < lit(minSample.toLong))
     val columns = mutable.LinkedHashMap.empty[(String, String, String), ColumnScan]
     cells
-      .select(col("dataset"), col("table"), col("column"), col("row"), col("value"), inSample)
+      .select(col("dataset"), col("table"), col("column"), col("row"), col("value"))
       .collect()
       .foreach { r =>
         val key = (r.getString(0), r.getString(1), r.getString(2))
-        columns.getOrElseUpdate(key, new ColumnScan(key._1, key._2, key._3))
-          .add(r.getLong(3), r.getString(4), r.getBoolean(5))
+        columns.getOrElseUpdate(key, new ColumnScan(key._1, key._2, key._3, samplePct, minSample))
+          .add(r.getLong(3), r.getString(4))
       }
     columns.values.toSeq
   }
@@ -123,17 +142,15 @@ object DataProfiler {
     * @param samplePct  percentage of rows sampled per column (paper: 10)
     * @param minSample  minimum sample size (paper: 1000)
     */
-  def profile(cells: DataFrame, samplePct: Int = 10, minSample: Int = 1000): Seq[ColumnProfile] =
-    scan(cells, samplePct, minSample).par.map { s =>
-      profileGroup(s.dataset, s.table, s.column, s.total, s.nonNull, s.distinct, s.sample)
-    }.seq
+  def profile(cells: DataFrame, samplePct: Int = SamplePct, minSample: Int = MinSample): Seq[ColumnProfile] =
+    scan(cells, samplePct, minSample).par.map(_.profile).seq
 
   // The benchmark's traced lake preprocessing and its self-test call
   // this; every other caller profiles with `profile`.
 
   /** [[profile]] of the cells, as a local Dataset. */
   def profileCells(spark: SparkSession, cells: DataFrame,
-                   samplePct: Int = 10, minSample: Int = 1000): Dataset[ColumnProfile] = {
+                   samplePct: Int = SamplePct, minSample: Int = MinSample): Dataset[ColumnProfile] = {
     import spark.implicits._
     spark.createDataset(profile(cells, samplePct, minSample))
   }
@@ -166,8 +183,28 @@ object DataProfiler {
   /** Convenience: profile a single in-memory DataFrame (the automation
     * inference path — "the GNN model takes the unseen dataset in the
     * form of a DataFrame and calculates the CoLR embedding per column").
+    * The profiles of [[cellsOf]] the frame, by column name. Spark runs
+    * one job, which reads each row once with its ordinal; the values are
+    * cast to string on the driver by Spark's own `Cast`.
     */
   def profileTable(spark: SparkSession, datasetName: String, tableName: String,
-                   df: DataFrame): Seq[ColumnProfile] =
-    profile(cellsOf(spark, datasetName, tableName, df)).sortBy(_.columnName)
+                   df: DataFrame): Seq[ColumnProfile] = {
+    val qe = df.select(monotonically_increasing_id() +: df.columns.map(c => col(s"`$c`")): _*)
+      .queryExecution
+    val rows = SQLExecution.withNewExecutionId(qe, Some("profileTable"))(qe.executedPlan.executeCollect())
+    if (rows.isEmpty) return Nil
+    val zone     = Some(spark.conf.get(SQLConf.SESSION_LOCAL_TIMEZONE.key))
+    val asString = df.schema.fields.zipWithIndex.map { case (f, i) =>
+      Cast(BoundReference(i + 1, f.dataType, nullable = true), StringType, zone)
+    }
+    val scans = df.columns.map(new ColumnScan(datasetName, tableName, _, SamplePct, MinSample))
+    rows.foreach { r =>
+      val row = r.getLong(0)
+      scans.indices.foreach { i =>
+        val v = asString(i).eval(r)
+        scans(i).add(row, if (v == null) null else v.toString)
+      }
+    }
+    scans.toSeq.par.map(_.profile).seq.sortBy(_.columnName)
+  }
 }

@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
 import repro.core.embed.{ColrModel, TableEmbedding}
-import repro.data.LakeBench
+import repro.data.{LakeBench, MlDatasets}
 
 /** Data profiling (Alg. 2): one Spark scan and a driver-side kernel,
   * checked against DuckDB and against Spark's own aggregates.
@@ -95,8 +95,25 @@ class DataProfilerSpec extends SparkSpec {
       "customers.age", "customers.country", "customers.review", "customers.active",
       "customers.signup_date", "orders.order_id", "orders.total"))
   }
+  test("profileTable equals the profiles of the frame's cells") {
+    val horse = MlDatasets.cleaningBenchmark(1)
+    val frames = Seq("customers" -> df, horse.name -> horse.generate(spark).repartition(3).cache())
+    frames.foreach { case (name, frame) =>
+      val got  = DataProfiler.profileTable(spark, "shop", name, frame)
+      val want = DataProfiler.profile(DataProfiler.cellsOf(spark, "shop", name, frame))
+      assert(got.size == frame.columns.length && got.exists(_.nullCount > 0))
+      got.zip(want.sortBy(_.columnName)).foreach { case (a, b) => assertSameProfile(a, b) }
+    }
+    frames.last._2.unpersist()
+  }
   test("profiling a table runs one Spark job") {
-    assert(sparkJobsOf(DataProfiler.profileTable(spark, "shop", "customers", df)) == 1)
+    // a cached frame, as the automation path profiles one; a scan of the
+    // bare local rows runs no Spark job at all
+    val cached = df.cache()
+    cached.count()
+    val jobs = sparkJobsOf(DataProfiler.profileTable(spark, "shop", "customers", cached))
+    cached.unpersist()
+    assert(jobs == 1)
   }
   test("a zero-row frame gives no profiles") {
     assert(DataProfiler.profileTable(spark, "shop", "customers", df.filter(lit(false))).isEmpty)
