@@ -41,10 +41,10 @@ object Table4Harness {
     Breakdown(byPred.values.sum, byAspect)
   }
 
-  def run(spark: SparkSession, corpusSize: Int = 300, seed: Long = 77): Result = {
+  def run(spark: SparkSession, corpusSize: Int = 300): Result = {
     import spark.implicits._
     val corpus = spark.createDataset(
-      PipelineCorpus.abstractionCorpus(corpusSize, seed)).cache()
+      PipelineCorpus.abstractionCorpus(corpusSize, Table3Harness.CorpusSeed)).cache()
     corpus.count()
     val kStore = TripleStore.fromDataset(PipelineAbstraction.abstractCorpus(spark, corpus))
     val gStore = TripleStore.fromDataset(GraphGen4Code.abstractCorpus(spark, corpus))

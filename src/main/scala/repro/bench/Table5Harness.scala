@@ -19,6 +19,7 @@ object Table5Harness {
 
   val HoloMemBudget: Long  = 450L * 1024 * 1024
   val HoloTimeBudgetMs: Long = 15 * 60 * 1000L
+  val Folds = 3
 
   case class Row(
       id: Int, name: String, rows: Int,
@@ -30,7 +31,7 @@ object Table5Harness {
       holoMemMb: Double, kglidsMemMb: Double,
   )
 
-  def run(spark: SparkSession, folds: Int = 3): Seq[Row] = {
+  def run(spark: SparkSession): Seq[Row] = {
     val forest = TaskEvaluator.RandomForest(numTrees = 40, maxDepth = 8)
     val trained = AutomationTrainer.trainOn(
       spark, MlDatasets.cleaningTrainingCorpus(4), pipelinesPer = 4, seed = 11)
@@ -41,7 +42,7 @@ object Table5Harness {
 
       // ---------------- baseline: drop rows with nulls
       val baseline = TaskEvaluator.crossValidate(
-        df.na.drop(d.featureCols), d.labelCol, d.featureCols, forest, folds)
+        df.na.drop(d.featureCols), d.labelCol, d.featureCols, forest, Folds)
 
       // ---------------- HoloClean (governed)
       val holo = ResourceGovernor.run(HoloMemBudget, HoloTimeBudgetMs) { gov =>
@@ -52,7 +53,7 @@ object Table5Harness {
       val (holoF1, holoSec, holoMem) = holo match {
         case ResourceGovernor.Ok(cleaned, ms, bytes) =>
           (Some(TaskEvaluator.crossValidate(
-             cleaned, d.labelCol, d.featureCols, forest, folds)),
+             cleaned, d.labelCol, d.featureCols, forest, Folds)),
            ms / 1000.0, bytes / 1024.0 / 1024.0)
         case ResourceGovernor.Oom(ms)     => (None, ms / 1000.0, HoloMemBudget / 1024.0 / 1024.0)
         case ResourceGovernor.Timeout(ms) => (None, ms / 1000.0, 0.0)
@@ -70,7 +71,7 @@ object Table5Harness {
         (d.featureCols.size + 1) * 350 * 8 / 1024.0 / 1024.0 +
           repro.core.embed.TableEmbedding.Dim * CleaningOps.All.size * 8 / 1024.0 / 1024.0
       val kglidsF1 = TaskEvaluator.crossValidate(
-        cleaned, d.labelCol, d.featureCols, forest, folds)
+        cleaned, d.labelCol, d.featureCols, forest, Folds)
       cleaned.unpersist(); df.unpersist()
 
       Row(d.id, d.name, d.rows, baseline, holoF1, kglidsF1, op,

@@ -22,6 +22,7 @@ object Table6Harness {
 
   val AutoLearnMemBudget: Long   = 4L * 1024 * 1024 * 1024
   val AutoLearnTimeBudgetMs: Long = 12000L
+  val Folds = 3
 
   case class Row(
       id: Int, name: String, rows: Int,
@@ -35,7 +36,7 @@ object Table6Harness {
       autoMemMb: Double, kglidsMemMb: Double,
   )
 
-  def run(spark: SparkSession, folds: Int = 3): Seq[Row] = {
+  def run(spark: SparkSession): Seq[Row] = {
     val trained = AutomationTrainer.trainOn(
       spark, MlDatasets.transformTrainingCorpus(4), pipelinesPer = 4, seed = 12)
 
@@ -44,7 +45,7 @@ object Table6Harness {
       df.count()
 
       def score(frame: org.apache.spark.sql.DataFrame, cols: Seq[String]): Double =
-        TaskEvaluator.crossValidate(frame, d.labelCol, cols, TaskEvaluator.SoftmaxSgd, folds)
+        TaskEvaluator.crossValidate(frame, d.labelCol, cols, TaskEvaluator.SoftmaxSgd, Folds)
 
       // ---------------- baseline: raw features
       val baseline = score(df, d.featureCols)

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 
 import repro.core.embed.TableEmbedding
 import repro.core.graph.LidsGraphBuilder
-import repro.core.profile.{ColumnProfile, DataProfiler}
+import repro.core.profile.{ColumnProfile, DataProfiler, FineGrainedType}
 import repro.data.{MlDataset, PipelineCorpus}
 import repro.substrate.ml.VectorIndex
 import repro.substrate.rdf.TripleStore
@@ -44,28 +44,22 @@ object AutomationTrainer {
   /** Train all three recommenders from a built KG. */
   def train(store: TripleStore, profilesByTable: Map[String, Seq[ColumnProfile]],
             seed: Long = 42L): Trained = {
-    // ---- cleaning: (table, op), embeddings over missing-value columns
-    val cleaningExamples = GnnRecommender
-      .extractTableOpExamples(store, GnnRecommender.CleaningFunctions)
-      .flatMap { case (tableId, op) =>
-        profilesByTable.get(tableId).map { ps =>
-          GnnRecommender.Example(tableId,
-            TableEmbedding.forMissingValueColumns(ps), op)
-        }
+    // (table, op) examples of the functions, each table embedded by `embed`
+    def tableExamples(functions: Map[String, String],
+                      embed: Seq[ColumnProfile] => Array[Double]) =
+      GnnRecommender.extractTableOpExamples(store, functions).flatMap { case (tableId, op) =>
+        profilesByTable.get(tableId).map(ps => GnnRecommender.Example(tableId, embed(ps), op))
       }
+
+    // ---- cleaning: (table, op), embeddings over missing-value columns
     val cleaning = GnnRecommender.train(
-      cleaningExamples, CleaningOps.All, missingOnly = true, seed = seed)
+      tableExamples(GnnRecommender.CleaningFunctions, TableEmbedding.forMissingValueColumns),
+      CleaningOps.All, missingOnly = true, seed = seed)
 
     // ---- table scaler: (table, scaler), embeddings over all columns
-    val scalerExamples = GnnRecommender
-      .extractTableOpExamples(store, GnnRecommender.ScalerFunctions)
-      .flatMap { case (tableId, op) =>
-        profilesByTable.get(tableId).map { ps =>
-          GnnRecommender.Example(tableId, TableEmbedding.fromProfiles(ps), op)
-        }
-      }
     val scaler = GnnRecommender.train(
-      scalerExamples, TransformOps.Scalers, seed = seed)
+      tableExamples(GnnRecommender.ScalerFunctions, TableEmbedding.fromProfiles),
+      TransformOps.Scalers, seed = seed)
 
     // ---- unary column transform: (column, op) positives from the KG,
     // untouched columns as 'none' negatives (balanced)
@@ -80,7 +74,7 @@ object AutomationTrainer {
     val touched = positives.map(_.nodeId).toSet
     val negatives = profileOfColumn.values.toSeq
       .filter(p => !touched(p.columnId) &&
-        repro.core.profile.FineGrainedType.isNumeric(p.fgType))
+        FineGrainedType.isNumeric(p.fgType))
       .sortBy(_.columnId)
       .take(math.max(8, positives.size))
       .map(p => GnnRecommender.Example(p.columnId, p.embedding, TransformOps.None))

@@ -3,6 +3,7 @@ package repro.core.automl
 import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.NumericType
 
 /** The 5 cleaning operations the cleaning GNN chooses among (§4.2):
   * Fillna, Interpolate, SimpleImputer, KNNImputer, IterativeImputer —
@@ -48,12 +49,7 @@ object CleaningOps {
     when(orZero(stat) === 0.0, 1.0).otherwise(stat)
 
   private def split(df: DataFrame, cols: Seq[String]): (Seq[String], Seq[String]) =
-    cols.partition { c =>
-      df.schema(c).dataType.typeName match {
-        case "double" | "float" | "integer" | "long" | "short" => true
-        case _                                                 => false
-      }
-    }
+    cols.partition(c => df.schema(c).dataType.isInstanceOf[NumericType])
 
   /** `df.fillna(0)` / `'missing'` — the pandas constant-fill idiom. */
   def fillna(df: DataFrame, cols: Seq[String]): DataFrame = {
@@ -97,13 +93,14 @@ object CleaningOps {
     simpleImputer(out.sortWithinPartitions("__rid").drop("__rid"), num ++ str)
   }
 
-  /** sklearn KNNImputer (k=5) against a broadcast anchor sample of
-    * complete rows: a missing cell is the mean of that column over the k
-    * anchors nearest in standardized euclidean distance on the row's
-    * observed features.
+  val MaxAnchors = 128
+
+  /** sklearn KNNImputer (k=5) against a broadcast anchor sample of at
+    * most [[MaxAnchors]] complete rows: a missing cell is the mean of that
+    * column over the k anchors nearest in standardized euclidean distance
+    * on the row's observed features.
     */
-  def knnImputer(df: DataFrame, cols: Seq[String], k: Int = 5,
-                 maxAnchors: Int = 128): DataFrame = {
+  def knnImputer(df: DataFrame, cols: Seq[String], k: Int = 5): DataFrame = {
     val (num, str) = split(df, cols)
     if (num.isEmpty) return simpleImputer(df, cols)
 
@@ -114,7 +111,7 @@ object CleaningOps {
 
     val anchors: Array[Array[Double]] = df
       .na.drop(num)
-      .limit(maxAnchors)
+      .limit(MaxAnchors)
       .select(num.map(c => col(c).cast("double")): _*)
       .collect()
       .map(r => num.indices.map(r.getDouble).toArray)
@@ -146,13 +143,17 @@ object CleaningOps {
     simpleImputer(out, str) // strings still need a fill
   }
 
+  val Iterations = 2
+  val MaxFitRows = 20000
+  val Ridge      = 1e-3
+
   /** sklearn IterativeImputer (round-robin regression): each null column
     * is modelled as a ridge regression on the other (mean-filled)
-    * columns, fit on a driver-side sample and applied as a Catalyst
-    * linear-combination expression; repeated for `iterations` rounds.
+    * columns, fit on a driver-side sample of at most [[MaxFitRows]] rows
+    * and applied as a Catalyst linear-combination expression; repeated
+    * for [[Iterations]] rounds.
     */
-  def iterativeImputer(df: DataFrame, cols: Seq[String], iterations: Int = 2,
-                       maxFitRows: Int = 20000, ridge: Double = 1e-3): DataFrame = {
+  def iterativeImputer(df: DataFrame, cols: Seq[String]): DataFrame = {
     val (num, str) = split(df, cols)
     if (num.size < 2) return simpleImputer(df, cols)
 
@@ -164,14 +165,14 @@ object CleaningOps {
 
     // sequential: each target's fit and prediction read the targets imputed before it
     var current = df
-    (0 until iterations).foreach { _ =>
+    (0 until Iterations).foreach { _ =>
       nullCols.foreach { target =>
         val others = num.filterNot(_ == target)
         // fit on rows where the target is observed, others mean-filled
         val fitRows = current.filter(col(target).isNotNull)
           .select((others :+ target).map(c =>
             coalesce(col(c).cast("double"), lit(meanOf(c))).as(c)): _*)
-          .limit(maxFitRows).collect()
+          .limit(MaxFitRows).collect()
         if (fitRows.length >= others.size + 2) {
           val d = others.size
           val xtx = Array.ofDim[Double](d + 1, d + 1)
@@ -187,7 +188,7 @@ object CleaningOps {
               i += 1
             }
           }
-          (0 to d).foreach(i => xtx(i)(i) += ridge * fitRows.length)
+          (0 to d).foreach(i => xtx(i)(i) += Ridge * fitRows.length)
           solveInPlace(xtx, xty).foreach { coef =>
             val pred: Column = others.zipWithIndex
               .map { case (c, i) =>

@@ -80,7 +80,7 @@ object GnnRecommender {
                     graph = Some(Term.Var("g"))),
     ))
     bindings.flatMap { r =>
-      val tableId = r.getAs[String]("t").stripPrefix(Lids.ResourcePrefix)
+      val tableId = Lids.idOf(r.getAs[String]("t"))
       opOfFunction.get(r.getAs[String]("f")).map(op => (tableId, op))
     }
   }
@@ -97,18 +97,19 @@ object GnnRecommender {
                     graph = Some(Term.Var("g"))),
     ))
     bindings.flatMap { r =>
-      val columnId = r.getAs[String]("c").stripPrefix(Lids.ResourcePrefix)
+      val columnId = Lids.idOf(r.getAs[String]("c"))
       opOfFunction.get(r.getAs[String]("f")).map(op => (columnId, op))
     }
   }
 
+  val Epochs = 400
+
   /** Train a recommender on examples over a fixed class vocabulary. */
   def train(examples: Seq[Example], classes: Seq[String],
-            missingOnly: Boolean = false, epochs: Int = 400,
-            seed: Long = 42L): GnnRecommender = {
+            missingOnly: Boolean = false, seed: Long = 42L): GnnRecommender = {
     require(examples.nonEmpty, "no training examples extracted from the KG")
     val dim = examples.head.embedding.length
-    val gnn = new OneLayerGnn(dim, classes.size, epochs = epochs, seed = seed)
+    val gnn = new OneLayerGnn(dim, classes.size, epochs = Epochs, seed = seed)
     val feats  = examples.map(_.embedding).toArray
     val labels = examples.map(e => classes.indexOf(e.label)).toArray
     require(labels.forall(_ >= 0), "example label outside class vocabulary")

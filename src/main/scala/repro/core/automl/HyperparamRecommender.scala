@@ -17,18 +17,20 @@ import repro.substrate.rdf.{Term, TriplePattern, TripleStore}
   */
 object HyperparamRecommender {
 
+  val TopPipelines = 20
+
   /** Most-common hyperparameter values used with `estimator` (a dotted
-    * library path) on the table most similar to `queryEmbedding`.
+    * library path) in the [[TopPipelines]] top-voted pipelines of the
+    * table most similar to `queryEmbedding`.
     *
     * @param tableIndex table-embedding index over the KG's tables
     */
   def recommend(store: TripleStore, tableIndex: VectorIndex,
-                queryEmbedding: Array[Double], estimator: String,
-                topPipelines: Int = 20): Map[String, String] = {
+                queryEmbedding: Array[Double], estimator: String): Map[String, String] = {
     tableIndex.nearest(queryEmbedding) match {
       case None => Map.empty
       case Some((tableId, _)) =>
-        val params = paramsUsedWith(store, tableId, estimator, topPipelines)
+        val params = paramsUsedWith(store, tableId, estimator, TopPipelines)
         params
           .groupBy(_._1)
           .map { case (name, vs) =>

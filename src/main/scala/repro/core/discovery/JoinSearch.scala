@@ -23,26 +23,17 @@ object JoinSearch {
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
     ))
     rows
-      .groupMap(r => strip(r.getAs[String]("t1")))(r =>
-        (strip(r.getAs[String]("t2")), r.getAs[Double]("w")))
+      .groupMap(r => Lids.idOf(r.getAs[String]("t1")))(r =>
+        (Lids.idOf(r.getAs[String]("t2")), r.getAs[Double]("w")))
       .map { case (t1, edges) => t1 -> neighbours(t1, edges) }
   }
 
   /** Top-k joinable tables for one table: one BGP anchored at the table,
     * so only its own columns' similarity edges are read.
     */
-  def topKJoinable(store: TripleStore, tableId: String, k: Int): Seq[(String, Double)] = {
-    val rows = store.index.select(Seq(
-      TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.IsPartOf),
-                    Term.Lit(Lids.ResourcePrefix + tableId)),
-      TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.ContentSimilarity), Term("?c2"),
-                    weightVar = Some("w")),
-      TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
-    ))
-    neighbours(tableId, rows.map(r => (strip(r.getAs[String]("t2")), r.getAs[Double]("w")))).take(k)
-  }
-
-  private def strip(uri: String): String = uri.stripPrefix(Lids.ResourcePrefix)
+  def topKJoinable(store: TripleStore, tableId: String, k: Int): Seq[(String, Double)] =
+    neighbours(tableId, UnionSearch.columnMatches(store.index, tableId, Lids.Prop.ContentSimilarity)
+      .map { case (_, _, t2, w) => (t2, w) }).take(k)
 
   /** The tables other than `t1` among the `(table, weight)` edges, each
     * with its best weight, by weight descending, then tableId.
@@ -72,8 +63,9 @@ object JoinSearch {
     out.toSeq.sortBy(p => (p.size, p.mkString("→")))
   }
 
-  /** Shortest join path between two tables, if one exists. */
-  def shortestPath(store: TripleStore, fromTable: String, toTable: String,
-                   maxHops: Int = 4): Option[Seq[String]] =
-    joinPaths(store, fromTable, toTable, maxHops).headOption
+  val MaxHops = 4
+
+  /** Shortest join path between two tables within [[MaxHops]] edges, if one exists. */
+  def shortestPath(store: TripleStore, fromTable: String, toTable: String): Option[Seq[String]] =
+    joinPaths(store, fromTable, toTable, MaxHops).headOption
 }

@@ -22,8 +22,6 @@ object PredefinedOps {
 
   private def gvar(p: TriplePattern): TriplePattern = p.copy(graph = Some(Term.Var("g")))
 
-  private def strip(uri: String): String = uri.stripPrefix(Lids.ResourcePrefix)
-
   private def local(store: TripleStore, rows: Seq[Row], fields: StructField*): DataFrame =
     store.spark.createDataFrame(rows.asJava, StructType(fields))
 
@@ -45,7 +43,7 @@ object PredefinedOps {
     val groups = andGroups.map(_.map(_.toLowerCase))
     val matched = hay.collect {
       case (t, labels) if groups.forall(g => g.exists(kw => labels.exists(_.contains(kw)))) =>
-        strip(t)
+        Lids.idOf(t)
     }
     local(store, matched.toSeq.sorted.map(Row(_)), StructField("table_id", StringType))
   }
@@ -63,7 +61,7 @@ object PredefinedOps {
       TriplePattern(Term("?c1"), Term.Lit(Lids.Prop.LabelSimilarity), Term("?c2"),
                     weightVar = Some("score")),
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term.Lit(t2)),
-    )).map(r => (strip(r.getAs[String]("c1")), strip(r.getAs[String]("c2")),
+    )).map(r => (Lids.idOf(r.getAs[String]("c1")), Lids.idOf(r.getAs[String]("c2")),
                  r.getAs[Double]("score")))
     local(store,
       pairs.sortBy { case (c1, c2, s) => (-s, c1, c2) }.map { case (c1, c2, s) => Row(c1, c2, s) },
@@ -111,8 +109,8 @@ object PredefinedOps {
       TriplePattern(Term("?p"), Term.Lit(Lids.Prop.AboutDataset), Term("?dataset")),
     ).map(gvar))
     val rows = meta.filter(r => pipelines(r.getAs[String]("g"))).map { r =>
-      (strip(r.getAs[String]("p")), r.getAs[String]("author"),
-       r.getAs[String]("votes").trim.toIntOption, strip(r.getAs[String]("dataset")))
+      (Lids.idOf(r.getAs[String]("p")), r.getAs[String]("author"),
+       r.getAs[String]("votes").trim.toIntOption, Lids.idOf(r.getAs[String]("dataset")))
     }
     local(store,
       rows.sortBy(r => (r._3, r._1))(Ordering.Tuple2(descNullsLast(Ordering.Int), Ordering.String))

@@ -26,9 +26,9 @@ object UnionSearch {
       TriplePattern(Term("?c1"), Term.Lit(predicate), Term("?c2"), weightVar = Some("w")),
       TriplePattern(Term("?c2"), Term.Lit(Lids.Prop.IsPartOf), Term("?t2")),
     )).map { r =>
-      (r.getAs[String]("c1").stripPrefix(Lids.ResourcePrefix),
-       r.getAs[String]("c2").stripPrefix(Lids.ResourcePrefix),
-       r.getAs[String]("t2").stripPrefix(Lids.ResourcePrefix),
+      (Lids.idOf(r.getAs[String]("c1")),
+       Lids.idOf(r.getAs[String]("c2")),
+       Lids.idOf(r.getAs[String]("t2")),
        r.getAs[Double]("w"))
     }
   }

@@ -75,6 +75,9 @@ object Lids {
     Prop.HasText           -> "Statement text",
   )
 
+  /** The id a resource URI names: the URI without [[ResourcePrefix]]. */
+  def idOf(uri: String): String = uri.stripPrefix(ResourcePrefix)
+
   def datasetUri(dataset: String): String = s"$ResourcePrefix$dataset"
   def tableUri(dataset: String, table: String): String = s"$ResourcePrefix$dataset/$table"
   def columnUri(dataset: String, table: String, column: String): String =

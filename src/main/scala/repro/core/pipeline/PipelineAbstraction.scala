@@ -127,12 +127,9 @@ object PipelineAbstraction {
     }
 
     /** True when the statement carries no pipeline semantics (§3.1). */
-    def isInsignificant(s: PyStmt): Boolean = s match {
-      case es: PyExprStmt =>
-        val calls = exprsOf(es).flatMap(callsIn)
-        calls.nonEmpty && calls.forall { c =>
-          resolvePath(c.func).exists(DocDb.insignificantCalls.contains)
-        }
+    def isInsignificant(s: PyStmt, calls: Seq[(PyCall, Option[String])]): Boolean = s match {
+      case _: PyExprStmt =>
+        calls.nonEmpty && calls.forall(_._2.exists(DocDb.insignificantCalls.contains))
       case _ => false
     }
 
@@ -161,7 +158,10 @@ object PipelineAbstraction {
         case _ =>
       }
 
-      if (!isInsignificant(stmt)) {
+      // each call of the statement with its library path, resolved once
+      val calls = exprsOf(stmt).flatMap(callsIn).map(c => (c, resolvePath(c.func)))
+
+      if (!isInsignificant(stmt, calls)) {
         val stmtUri = Lids.statementUri(rec.id, stmtIndex)
         stmtIndex += 1
 
@@ -179,9 +179,8 @@ object PipelineAbstraction {
         }
 
         // ---- documentation analysis over calls
-        val calls = exprsOf(stmt).flatMap(callsIn)
-        calls.foreach { call =>
-          resolvePath(call.func).filterNot(_ == "print").foreach { path =>
+        calls.foreach { case (call, resolved) =>
+          resolved.filterNot(_ == "print").foreach { path =>
             triples += Triple(g, stmtUri, Lids.Prop.CallsFunction, Lids.libraryUri(path))
             DocDb.lookup(path).foreach { doc =>
               val explicit = call.args.zipWithIndex.map { case (a, i) =>
@@ -198,8 +197,8 @@ object PipelineAbstraction {
         }
 
         // ---- dataset usage analysis: predicted table reads
-        calls.foreach { call =>
-          if (resolvePath(call.func).contains("pandas.read_csv")) {
+        calls.foreach { case (call, resolved) =>
+          if (resolved.contains("pandas.read_csv")) {
             call.args.headOption.map(_.value) match {
               case Some(PyStr(pathStr)) =>
                 val parts = pathStr.stripSuffix(".csv").split('/').filter(_.nonEmpty)
@@ -228,8 +227,8 @@ object PipelineAbstraction {
 
         // predicted column reads from drop('label') on a bound frame —
         // the label column is being referenced by name
-        calls.foreach { call =>
-          resolvePath(call.func).filter(_.endsWith("DataFrame.drop")).foreach { _ =>
+        calls.foreach { case (call, resolved) =>
+          resolved.filter(_.endsWith("DataFrame.drop")).foreach { _ =>
             (call.func, call.args.headOption.map(_.value)) match {
               case (PyAttr(base, _), Some(PyStr(colName))) =>
                 rootVar(base).flatMap(varTable.get).foreach { case (ds, tbl) =>

@@ -149,10 +149,9 @@ object DataProfiler {
   // this; every other caller profiles with `profile`.
 
   /** [[profile]] of the cells, as a local Dataset. */
-  def profileCells(spark: SparkSession, cells: DataFrame,
-                   samplePct: Int = SamplePct, minSample: Int = MinSample): Dataset[ColumnProfile] = {
+  def profileCells(spark: SparkSession, cells: DataFrame): Dataset[ColumnProfile] = {
     import spark.implicits._
-    spark.createDataset(profile(cells, samplePct, minSample))
+    spark.createDataset(profile(cells))
   }
 
   /** Profile one column from its counts and its in-sample non-null

@@ -20,12 +20,11 @@ import repro.substrate.ml.ResourceGovernor
   * for non-linear); (4) select stable generated features by their
   * distance correlation with the original feature set.
   */
-final class AutoLearnLike(
-    dcorThreshold: Double = 0.5,
-    linearThreshold: Double = 0.85,
-    maxGenerated: Int = 60,
-    distMatrixCap: Int = 25000,
-) {
+final class AutoLearnLike {
+  private val dcorThreshold = 0.5
+  private val linearThreshold = 0.85
+  private val maxGenerated = 60
+  private val distMatrixCap = 25000
 
   /** Transform the dataset: original features + generated features.
     * Returns (transformedDf, generatedFeatureNames).

@@ -19,12 +19,11 @@ import repro.substrate.ml.ResourceGovernor
   * (iv) imputes each missing cell with the argmax candidate under the
   * attention-weighted co-occurrence likelihood.
   */
-final class HoloCleanLike(
-    bins: Int = 20,
-    epochs: Int = 8,
-    trainSample: Int = 20000,
-    bytesPerCandidateEntry: Long = 100L,
-) {
+final class HoloCleanLike {
+  private val bins = 20
+  private val epochs = 8
+  private val trainSample = 20000
+  private val bytesPerCandidateEntry = 100L
 
   /** Impute all nulls in `featureCols` (numeric doubles) of `df`. */
   def clean(spark: SparkSession, df: DataFrame, featureCols: Seq[String],

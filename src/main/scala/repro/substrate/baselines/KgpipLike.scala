@@ -22,6 +22,8 @@ final class KgpipLike(datasetIndex: VectorIndex,
     for (trees <- Seq(10, 25, 50, 100, 200); depth <- Seq(3, 5, 8, 12))
       yield (trees, depth)
 
+  private val folds = 3 // cross-validation folds per configuration
+
   /** Estimator predicted for an unseen dataset embedding. */
   def selectEstimator(embedding: Array[Double]): Option[String] =
     datasetIndex.nearest(embedding).flatMap { case (id, _) => estimatorOf.get(id) }
@@ -33,8 +35,7 @@ final class KgpipLike(datasetIndex: VectorIndex,
     * the evaluation-count analogue of the paper's 40-second budget.
     */
   def searchHyperparams(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                        warmStart: Option[(Int, Int)], budgetConfigs: Int,
-                        folds: Int = 3, seed: Long = 7L): (Double, (Int, Int)) = {
+                        warmStart: Option[(Int, Int)], budgetConfigs: Int): (Double, (Int, Int)) = {
     val ordered = warmStart match {
       case None => grid
       case Some((wt, wd)) =>
@@ -45,7 +46,7 @@ final class KgpipLike(datasetIndex: VectorIndex,
     }
     ordered.take(math.max(1, budgetConfigs)).map { case (trees, depth) =>
       val score = TaskEvaluator.crossValidate(df, labelCol, featureCols,
-        TaskEvaluator.RandomForest(trees, depth), k = folds, seed = seed)
+        TaskEvaluator.RandomForest(trees, depth), k = folds)
       (score, (trees, depth))
     }.maxBy { case (s, (t, dpt)) => (s, -t, -dpt) }
   }

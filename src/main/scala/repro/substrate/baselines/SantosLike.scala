@@ -21,7 +21,8 @@ import repro.substrate.text.{Ner, Tokenizer}
   * Table 2; the per-pair caps below are the scaled-down analogue of its
   * published implementation limits.
   */
-final class SantosLike(valuesPerColumn: Int = 120) {
+final class SantosLike {
+  private val valuesPerColumn = 120 // values of a column matched against the KBs
 
   /** Column semantic signature: KB type histogram + top values. */
   private case class ColSig(semType: String, values: Set[String])

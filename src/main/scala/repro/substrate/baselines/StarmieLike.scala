@@ -19,13 +19,11 @@ import repro.substrate.text.Tokenizer
   *    for text, weak for numeric columns (the paper's 52.2 vs 63.4
   *    precision observation).
   */
-final class StarmieLike(
-    val dim: Int = 768,
-    epochs: Int = 10,
-    samplePerColumn: Int = 256, // Starmie serializes (near-)whole columns
-    projRank: Int = 64,
-    seed: Long = 5L,
-) {
+final class StarmieLike(epochs: Int = 10) {
+  val dim = 768
+  private val samplePerColumn = 256 // Starmie serializes (near-)whole columns
+  private val projRank = 64
+  private val seed = 5L
   private val rng = new Random(seed)
   /** learned diagonal reweighting of the hashed feature space. */
   private val featureWeight = Array.fill(dim)(1.0)

@@ -20,11 +20,11 @@ final class OneLayerGnn(
     val dim: Int,
     val numClasses: Int,
     learningRate: Double = 0.1,
-    l2: Double = 1e-4,
     epochs: Int = 200,
     batchSize: Int = 32,
     seed: Long = 42L,
 ) {
+  private val l2 = 1e-4 // weight decay
   /** weights(c)(d) + bias(c): the single linear layer. */
   private var weights: Array[Array[Double]] = Array.ofDim(numClasses, dim)
   private var bias: Array[Double]           = Array.ofDim(numClasses)

@@ -38,24 +38,27 @@ object TaskEvaluator {
     val MaxRows      = 60000
   }
 
+  /** The seed of the fold assignment and of each learner. */
+  val Seed = 7L
+
   /** k-fold cross-validated score × 100. Returns 0.0 on degenerate input
     * (too few rows or a single class — the paper's 00.00 rows for the
     * drop-nulls baseline on mostly-null datasets).
     */
   def crossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                    learner: Learner, k: Int = 5, seed: Long = 7L): Double = {
+                    learner: Learner, k: Int = 5): Double = {
     val clean = df.na.drop(featureCols :+ labelCol)
     val n     = clean.count()
     if (n < 4L * k) return 0.0
     if (clean.select(labelCol).distinct().count() < 2) return 0.0
     learner match {
-      case rf: RandomForest => forestCrossValidate(clean, labelCol, featureCols, k, rf, seed)
-      case SoftmaxSgd       => sgdCrossValidate(clean, labelCol, featureCols, k, seed)
+      case rf: RandomForest => forestCrossValidate(clean, labelCol, featureCols, k, rf)
+      case SoftmaxSgd       => sgdCrossValidate(clean, labelCol, featureCols, k)
     }
   }
 
   private def forestCrossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                                  k: Int, rf: RandomForest, seed: Long): Double = {
+                                  k: Int, rf: RandomForest): Double = {
     val indexed = new StringIndexer()
       .setInputCol(labelCol).setOutputCol("__label").setHandleInvalid("skip")
       .fit(df).transform(df)
@@ -63,7 +66,7 @@ object TaskEvaluator {
       .setInputCols(featureCols.toArray).setOutputCol("features")
       .setHandleInvalid("skip")
       .transform(indexed)
-      .withColumn("__fold", (rand(seed) * k).cast("int"))
+      .withColumn("__fold", (rand(Seed) * k).cast("int"))
       .cache()
 
     try {
@@ -79,7 +82,7 @@ object TaskEvaluator {
           val model = new RandomForestClassifier()
             .setLabelCol("__label").setFeaturesCol("features")
             .setNumTrees(rf.numTrees).setMaxDepth(rf.maxDepth)
-            .setSeed(seed)
+            .setSeed(Seed)
             .fit(train)
           Some(evaluator.evaluate(model.transform(test)))
         }
@@ -89,7 +92,7 @@ object TaskEvaluator {
   }
 
   private def sgdCrossValidate(df: DataFrame, labelCol: String, featureCols: Seq[String],
-                               k: Int, seed: Long): Double = {
+                               k: Int): Double = {
     val rows = df.select((featureCols :+ labelCol).map(col): _*)
       .limit(SoftmaxSgd.MaxRows).collect()
     val d = featureCols.size
@@ -97,7 +100,7 @@ object TaskEvaluator {
     val classes = rows.map(_.get(d).toString).distinct.sorted
     if (classes.length < 2) return 0.0
     val labels = rows.map(r => classes.indexOf(r.get(d).toString))
-    val rng    = new scala.util.Random(seed)
+    val rng    = new scala.util.Random(Seed)
     val fold   = Array.fill(rows.length)(rng.nextInt(k))
 
     val accs = (0 until k).flatMap { f =>
@@ -107,7 +110,7 @@ object TaskEvaluator {
           trainIdx.map(labels).distinct.length < 2) None
       else {
         val gnn = new OneLayerGnn(d, classes.length, learningRate = SoftmaxSgd.LearningRate,
-          epochs = SoftmaxSgd.Epochs, batchSize = SoftmaxSgd.BatchSize, seed = seed)
+          epochs = SoftmaxSgd.Epochs, batchSize = SoftmaxSgd.BatchSize, seed = Seed)
         gnn.fit(trainIdx.map(feats), trainIdx.map(labels))
         val correct = testIdx.count(i => gnn.predict(feats(i)) == labels(i))
         Some(correct.toDouble / testIdx.length)

@@ -60,49 +60,52 @@ object PyAst {
     case _                         => Seq.empty
   }
 
-  /** All variable names read by an expression. */
-  def namesRead(e: PyExpr): Seq[String] = e match {
-    case PyName(id)         => Seq(id)
-    case PyAttr(b, _)       => namesRead(b)
-    case PyCall(f, args)    => namesRead(f) ++ args.flatMap(a => namesRead(a.value))
-    case PySubscript(b, i)  => namesRead(b) ++ namesRead(i)
-    case PyListLit(items)   => items.flatMap(namesRead)
-    case PyTupleLit(items)  => items.flatMap(namesRead)
-    case PyBinOp(l, _, r)   => namesRead(l) ++ namesRead(r)
-    case _                  => Seq.empty
+  /** Folds `op` over every node of an expression tree in preorder: a
+    * node before its children, the children left to right. This is the
+    * one place that lists a node's children. It builds no list of nodes,
+    * so the helpers below allocate little more than their results.
+    */
+  private def foldNodes[A](e: PyExpr, z: A)(op: (A, PyExpr) => A): A = {
+    val acc = op(z, e)
+    e match {
+      case PyAttr(b, _)      => foldNodes(b, acc)(op)
+      case PyCall(f, args)   =>
+        args.foldLeft(foldNodes(f, acc)(op))((a, arg) => foldNodes(arg.value, a)(op))
+      case PySubscript(b, i) => foldNodes(i, foldNodes(b, acc)(op))(op)
+      case PyListLit(items)  => items.foldLeft(acc)((a, c) => foldNodes(c, a)(op))
+      case PyTupleLit(items) => items.foldLeft(acc)((a, c) => foldNodes(c, a)(op))
+      case PyBinOp(l, _, r)  => foldNodes(r, foldNodes(l, acc)(op))(op)
+      case _                 => acc
+    }
   }
+
+  // The helpers below prepend what they collect; `reversed` restores
+  // preorder, and copies nothing for the zero or one element most
+  // expressions yield.
+  private def reversed[A](xs: List[A]): List[A] =
+    if (xs.isEmpty || xs.tail.isEmpty) xs else xs.reverse
+
+  /** All variable names read by an expression. */
+  def namesRead(e: PyExpr): Seq[String] =
+    reversed(foldNodes(e, List.empty[String]) {
+      case (ns, PyName(id)) => id :: ns
+      case (ns, _)          => ns
+    })
 
   /** All call expressions inside an expression tree (outermost first). */
-  def callsIn(e: PyExpr): Seq[PyCall] = e match {
-    case c @ PyCall(f, args) =>
-      c +: (callsIn(f) ++ args.flatMap(a => callsIn(a.value)))
-    case PyAttr(b, _)      => callsIn(b)
-    case PySubscript(b, i) => callsIn(b) ++ callsIn(i)
-    case PyListLit(items)  => items.flatMap(callsIn)
-    case PyTupleLit(items) => items.flatMap(callsIn)
-    case PyBinOp(l, _, r)  => callsIn(l) ++ callsIn(r)
-    case _                 => Seq.empty
-  }
+  def callsIn(e: PyExpr): Seq[PyCall] =
+    reversed(foldNodes(e, List.empty[PyCall]) {
+      case (cs, c: PyCall) => c :: cs
+      case (cs, _)         => cs
+    })
 
   /** All subscript expressions inside an expression tree. */
-  def subscriptsIn(e: PyExpr): Seq[PySubscript] = e match {
-    case s @ PySubscript(b, i) => s +: (subscriptsIn(b) ++ subscriptsIn(i))
-    case PyAttr(b, _)          => subscriptsIn(b)
-    case PyCall(f, args)       => subscriptsIn(f) ++ args.flatMap(a => subscriptsIn(a.value))
-    case PyListLit(items)      => items.flatMap(subscriptsIn)
-    case PyTupleLit(items)     => items.flatMap(subscriptsIn)
-    case PyBinOp(l, _, r)      => subscriptsIn(l) ++ subscriptsIn(r)
-    case _                     => Seq.empty
-  }
+  def subscriptsIn(e: PyExpr): Seq[PySubscript] =
+    reversed(foldNodes(e, List.empty[PySubscript]) {
+      case (ss, s: PySubscript) => s :: ss
+      case (ss, _)              => ss
+    })
 
   /** Number of nodes in an expression tree (G4C works per node). */
-  def exprSize(e: PyExpr): Int = e match {
-    case PyAttr(b, _)      => 1 + exprSize(b)
-    case PyCall(f, args)   => 1 + exprSize(f) + args.map(a => exprSize(a.value)).sum
-    case PySubscript(b, i) => 1 + exprSize(b) + exprSize(i)
-    case PyListLit(items)  => 1 + items.map(exprSize).sum
-    case PyTupleLit(items) => 1 + items.map(exprSize).sum
-    case PyBinOp(l, _, r)  => 1 + exprSize(l) + exprSize(r)
-    case _                 => 1
-  }
+  def exprSize(e: PyExpr): Int = foldNodes(e, 0)((n, _) => n + 1)
 }

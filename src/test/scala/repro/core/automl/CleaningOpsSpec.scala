@@ -49,6 +49,18 @@ class CleaningOpsSpec extends SparkSpec {
         |       coalesce(s, 'missing') AS s FROM t""".stripMargin,
       "t" -> empty)
   }
+  test("byte and decimal feature columns are numeric to every op") {
+    val typed = Seq((Some(1), Some(1.5)), (None, Some(2.25)), (Some(3), None),
+                    (Some(4), Some(4.0)), (Some(5), Some(5.75))).toDF("b", "d")
+      .select(col("b").cast("byte").as("b"), col("d").cast("decimal(10,2)").as("d"))
+    CleaningOps.All.foreach { op =>
+      val out = CleaningOps(op, typed, Seq("b", "d"))
+      assert(out.filter(col("b").isNull || col("d").isNull).isEmpty, s"$op left a null")
+    }
+    val filled = CleaningOps.fillna(typed, Seq("b", "d"))
+      .select(col("b").cast("double"), col("d").cast("double")).as[(Double, Double)].collect()
+    assert(filled.toSeq == Seq((1.0, 1.5), (0.0, 2.25), (3.0, 0.0), (4.0, 4.0), (5.0, 5.75)))
+  }
   test("simpleImputer reads all its statistics in one aggregate") {
     val wide = Seq(("a", "b", "c", 1.0), ("a", null, "d", 2.0), (null, "b", "d", 3.0))
       .toDF("s1", "s2", "s3", "x")

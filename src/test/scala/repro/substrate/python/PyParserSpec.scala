@@ -158,6 +158,21 @@ class PyParserSpec extends SparkSpec with PropSpec {
       case other => fail(other.toString)
     }
   }
+  test("expression helpers visit a node before its children, left to right") {
+    val gx = PyCall(PyName("g"), Seq(PyArg(None, PyName("x"))))
+    val gc = PySubscript(gx, PyStr("c"))
+    val hy = PyCall(PyName("h"), Seq(PyArg(None, PyName("y"))))
+    val af = PyCall(PyAttr(PyName("a"), "f"), Seq(PyArg(None, gc), PyArg(None, hy)))
+    val e  = PyCall(PyAttr(af, "k"), Seq(PyArg(None, PyName("z"))))
+    assert(one("""a.f(g(x)["c"], h(y)).k(z)""") match {
+      case PyExprStmt(parsed, _, _, _) => parsed == e
+      case _                           => false
+    })
+    assert(namesRead(e) == Seq("a", "g", "x", "h", "y", "z"))
+    assert(callsIn(e) == Seq(e, af, gx, hy))
+    assert(subscriptsIn(e) == Seq(gc))
+    assert(exprSize(e) == 14)
+  }
   test("full-script parse keeps all non-empty lines") {
     val script =
       """import pandas as pd
