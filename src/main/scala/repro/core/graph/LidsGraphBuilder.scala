@@ -14,15 +14,16 @@ import repro.substrate.rdf.TripleStore
 object LidsGraphBuilder {
 
   /** Full LiDS graph: datasets ∪ pipelines ∪ libraries, linked. The
-    * schema's triples come first, then the linked pipelines' in the
-    * order they are collected; the GNN examples are extracted in this
+    * schema's triples come first, then the linked pipelines' in
+    * partition order, read back as one dictionary-coded block per
+    * partition by the store; the GNN examples are extracted in this
     * order.
     */
   def build(spark: SparkSession, profiles: Seq[ColumnProfile],
             scripts: Dataset[ScriptRecord]): TripleStore = {
     import spark.implicits._
-    TripleStore(spark, SchemaBuilder.triples(profiles) ++
+    TripleStore(spark, SchemaBuilder.triples(profiles),
       GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts),
-        spark.createDataset(profiles)).collect())
+        spark.createDataset(profiles)))
   }
 }

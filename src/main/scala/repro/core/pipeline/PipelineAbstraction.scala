@@ -27,18 +27,21 @@ case class ScriptRecord(
   * (predicted table reads from `pandas.read_csv`, predicted column reads
   * from string subscripts over DataFrame variables). Each script becomes
   * its own named graph; the corpus is abstracted as independent Spark
-  * tasks (`S_rdd.map(analyze_pipeline_script)`).
+  * tasks (`S_rdd.map(analyze_pipeline_script)`), as an RDD.
   */
 object PipelineAbstraction {
 
   /** Abstract a whole corpus in parallel → one Dataset of triples
-    * (pipeline named graphs ∪ metadata ∪ one shared library graph).
+    * (pipeline named graphs ∪ metadata ∪ one shared library graph), in
+    * the corpus's partition order with the library graph last. The
+    * Dataset is a view of an RDD of triples:
+    * [[repro.substrate.rdf.TripleStore.fromDataset]] reads them back with
+    * no encoder or decoder in between.
     */
   def abstractCorpus(spark: SparkSession, corpus: Dataset[ScriptRecord]): Dataset[Triple] = {
     import spark.implicits._
-    val pipelineGraphs = corpus.flatMap(r => abstractScript(r))
-    val libGraph       = spark.createDataset(libraryGraph())
-    pipelineGraphs.union(libGraph)
+    spark.createDataset(corpus.rdd.flatMap(abstractScript) ++
+      spark.sparkContext.parallelize(libraryGraph(), 1))
   }
 
   /** The library graph: hierarchy + node types from the documentation

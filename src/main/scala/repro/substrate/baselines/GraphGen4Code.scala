@@ -57,9 +57,13 @@ object GraphGen4Code {
     StmtText      -> "Statement text",
   )
 
+  /** Abstract a whole corpus in parallel, on the same RDD path as
+    * KGLiDS's [[repro.core.pipeline.PipelineAbstraction.abstractCorpus]],
+    * so that Table 3 times both systems' analysis alike.
+    */
   def abstractCorpus(spark: SparkSession, corpus: Dataset[ScriptRecord]): Dataset[Triple] = {
     import spark.implicits._
-    corpus.flatMap(abstractScript)
+    spark.createDataset(corpus.rdd.flatMap(abstractScript))
   }
 
   /** Dotted raw path of a callee expression (no alias resolution — G4C

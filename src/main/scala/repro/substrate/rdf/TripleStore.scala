@@ -67,17 +67,71 @@ object TripleStore {
     * Spark job.
     */
   def apply(spark: SparkSession, triples: Seq[Triple]): TripleStore = {
-    val canon = mutable.HashMap.empty[String, String]
-    def c(s: String): String = canon.getOrElseUpdate(s, s)
-    new TripleStore(spark, triples.iterator.map { t =>
-      Triple(c(t.graph), c(t.subject), c(t.predicate), c(t.obj), t.weight)
-    }.toArray)
+    val intern = new Interner
+    new TripleStore(spark, triples.iterator.map(intern.triple).toArray)
   }
 
-  /** Build a store from a distributed Dataset of triples: one collect.
-    * The Table 3/4 harnesses build their stores this way; the LiDS graph
-    * is built with [[apply]].
+  /** Build a store from a distributed Dataset of triples, in partition
+    * order, with one Spark job as the three-argument `apply` describes.
+    * The Table 3/4 harnesses build their stores this way.
     */
   def fromDataset(triples: Dataset[Triple]): TripleStore =
-    apply(triples.sparkSession, triples.collect().toSeq)
+    apply(triples.sparkSession, Nil, triples)
+
+  /** Build a store from `local`'s triples followed by `distributed`'s, in
+    * partition order; the LiDS graph is built this way. One Spark job
+    * reads `distributed.rdd`: each task turns its partition into one
+    * [[TripleBlock]], and the driver keeps one instance of each distinct
+    * string of a block's dictionary, not of each triple. Over a Dataset
+    * made from an RDD of triples (Alg. 1's), Spark's optimizer drops the
+    * encode/decode pair, so no `Triple` is ever encoded.
+    */
+  def apply(spark: SparkSession, local: Seq[Triple],
+            distributed: Dataset[Triple]): TripleStore = {
+    val blocks = distributed.rdd.mapPartitions(ts => Iterator(TripleBlock(ts))).collect()
+    val intern = new Interner
+    new TripleStore(spark,
+      (local.iterator.map(intern.triple) ++ blocks.iterator.flatMap(_.triples(intern))).toArray)
+  }
+
+  /** Keeps one instance of each distinct string: the first one seen. */
+  private[rdf] final class Interner {
+    private val canon = mutable.HashMap.empty[String, String]
+
+    def apply(s: String): String = canon.getOrElseUpdate(s, s)
+
+    def triple(t: Triple): Triple =
+      Triple(apply(t.graph), apply(t.subject), apply(t.predicate), apply(t.obj), t.weight)
+  }
+}
+
+/** One partition's triples, dictionary-coded: each distinct string once,
+  * in first-seen order, then four dictionary ids per triple (graph,
+  * subject, predicate, object) and one weight per triple.
+  */
+private[rdf] final class TripleBlock(strings: Array[String], ids: Array[Int],
+                                     weights: Array[Double]) extends Serializable {
+
+  /** The triples in order, each string replaced by `intern`'s instance. */
+  def triples(intern: TripleStore.Interner): Iterator[Triple] = {
+    val s = strings.map(intern(_))
+    Iterator.tabulate(weights.length) { i =>
+      Triple(s(ids(4 * i)), s(ids(4 * i + 1)), s(ids(4 * i + 2)), s(ids(4 * i + 3)), weights(i))
+    }
+  }
+}
+
+private[rdf] object TripleBlock {
+  def apply(triples: Iterator[Triple]): TripleBlock = {
+    val idOf    = mutable.HashMap.empty[String, Int]
+    val strings = mutable.ArrayBuffer.empty[String]
+    val ids     = mutable.ArrayBuilder.make[Int]
+    val weights = mutable.ArrayBuilder.make[Double]
+    def id(s: String): Int = idOf.getOrElseUpdate(s, { strings += s; strings.size - 1 })
+    triples.foreach { t =>
+      ids += id(t.graph); ids += id(t.subject); ids += id(t.predicate); ids += id(t.obj)
+      weights += t.weight
+    }
+    new TripleBlock(strings.toArray, ids.result(), weights.result())
+  }
 }

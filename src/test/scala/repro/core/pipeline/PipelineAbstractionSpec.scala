@@ -1,9 +1,11 @@
 package repro.core.pipeline
 
+import org.apache.spark.sql.catalyst.plans.logical.{CatalystSerde, DeserializeToObject, SerializeFromObject}
+
 import repro.SparkSpec
 import repro.core.graph.Lids
 import repro.data.PipelineCorpus
-import repro.substrate.rdf.Triple
+import repro.substrate.rdf.{Triple, TripleStore}
 
 /** Pipeline Abstraction (Alg. 1) on the paper's Fig. 3 running example. */
 class PipelineAbstractionSpec extends SparkSpec {
@@ -150,5 +152,22 @@ class PipelineAbstractionSpec extends SparkSpec {
     val all = PipelineAbstraction.abstractCorpus(spark, corpus).collect()
     assert(all.exists(_.graph == Lids.pipelineGraph("pipeline/titanic/1")))
     assert(all.exists(_.predicate == Lids.Prop.IsPartOfLibrary)) // library graph attached
+  }
+  test("Alg. 1 on Spark equals Alg. 1 on the driver, in order") {
+    import spark.implicits._
+    val records = PipelineCorpus.abstractionCorpus(40, seed = 23)
+    val corpus  = spark.createDataset(spark.sparkContext.parallelize(records, 6))
+    assert(corpus.rdd.getNumPartitions >= 5)
+    assert(TripleStore.fromDataset(PipelineAbstraction.abstractCorpus(spark, corpus)).triples ==
+      records.flatMap(PipelineAbstraction.abstractScript) ++ PipelineAbstraction.libraryGraph())
+  }
+  test("reading the corpus's triples back runs no Triple encoder") {
+    import spark.implicits._
+    val qe = PipelineAbstraction.abstractCorpus(spark, spark.createDataset(Seq(rec))).queryExecution
+    // the plan `Dataset.rdd` runs
+    val plan = qe.sparkSession.sessionState
+      .executePlan(CatalystSerde.deserialize[Triple](qe.analyzed)).optimizedPlan
+    assert(plan.collect { case p @ (_: SerializeFromObject | _: DeserializeToObject) => p }.isEmpty,
+      plan.treeString)
   }
 }

@@ -7,6 +7,7 @@ import repro.core.graph.Lids
 import repro.core.pipeline.{PipelineAbstraction, ScriptRecord}
 import repro.data.{LakeBench, MlDatasets, PipelineCorpus}
 import repro.substrate.ml.ResourceGovernor
+import repro.substrate.rdf.TripleStore
 
 /** Baseline systems: SANTOS-like, Starmie-like, GraphGen4Code,
   * HoloClean-like, AutoLearn-like.
@@ -92,6 +93,12 @@ class BaselinesSpec extends SparkSpec {
     val out = GraphGen4Code.abstractCorpus(spark, ds)
     assert(out.count() > 0)
     assert(out.select("graph").distinct().count() == 2)
+  }
+  test("G4C on Spark equals G4C on the driver, in order") {
+    val records = PipelineCorpus.abstractionCorpus(30, seed = 23)
+    val corpus  = spark.createDataset(spark.sparkContext.parallelize(records, 5))
+    assert(TripleStore.fromDataset(GraphGen4Code.abstractCorpus(spark, corpus)).triples ==
+      records.flatMap(GraphGen4Code.abstractScript))
   }
 
   // ----------------------------------------------------------- HoloClean

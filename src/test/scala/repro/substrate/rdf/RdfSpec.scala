@@ -130,6 +130,21 @@ class RdfSpec extends SparkSpec with PropSpec {
       b + "g9xpy".length + 16)
   }
 
+  test("fromDataset equals the local store in order, each distinct string one instance") {
+    // every triple, the first 3 (4 of 7 partitions empty) and none
+    Seq(triples, triples.take(3), Nil).foreach { ts =>
+      val rddBacked = spark.createDataset(spark.sparkContext.parallelize(ts, 7))
+      // a column filter keeps the encoded rows, so `.rdd` must decode them
+      Seq(rddBacked, rddBacked.filter($"weight" > 0.0)).foreach { ds =>
+        val s = TripleStore.fromDataset(ds)
+        assert(s.triples == TripleStore(spark, ts).triples)
+        val canon = mutable.HashMap.empty[String, String]
+        assert(s.triples.iterator.flatMap(t => Iterator(t.graph, t.subject, t.predicate, t.obj))
+          .forall(x => canon.getOrElseUpdate(x, x) eq x), "equal strings must be one instance")
+      }
+    }
+  }
+
   test("local index agrees with the store") {
     val idx = LocalGraphIndex.fromStore(store)
     assert(idx eq store.index)
