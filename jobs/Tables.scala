@@ -23,6 +23,7 @@ object Tables {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
+    spark.sparkContext.setLogLevel("WARN")
     try println(table match {
       case 1 => Table1Harness.format(Table1Harness.run(spark))
       case 2 => Table2Harness.format(Table2Harness.run(spark))

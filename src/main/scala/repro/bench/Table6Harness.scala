@@ -69,8 +69,7 @@ object Table6Harness {
       // ---------------- KGLiDS: profile → recommend scaler + unaries → apply
       val ((scaler, unaryRec, transformed), kglidsSec) = Timing.once {
         val profiles = DataProfiler.profileTable(spark, d.name, "t", df)
-        val scaler   = trained.scaler.predictFromEmbedding(
-          repro.core.embed.TableEmbedding.fromProfiles(profiles))
+        val scaler   = trained.scaler.recommend(profiles)
         val unaryRec = profiles
           .filter(p => FineGrainedType.isNumeric(p.fgType) &&
                        d.featureCols.contains(p.columnName))

@@ -27,14 +27,11 @@ object AutomationTrainer {
       tableIndex: VectorIndex,
   )
 
-  /** Profile training datasets + abstract their pipelines → LiDS graph. */
+  /** Profile each training dataset with [[DataProfiler.profileTable]] + abstract the pipelines → LiDS graph. */
   def buildKg(spark: SparkSession, datasets: Seq[MlDataset], pipelinesPer: Int,
               seed: Long): (TripleStore, Map[String, Seq[ColumnProfile]]) = {
     import spark.implicits._
-    val cells = datasets.map { d =>
-      DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
-    }.reduce(_ union _)
-    val profiles = DataProfiler.profile(cells)
+    val profiles = datasets.flatMap(d => DataProfiler.profileTable(spark, d.name, "data", d.generate(spark)))
     val scripts = PipelineCorpus.forDatasets(
       datasets.map(PipelineCorpus.refOf), pipelinesPer, seed)
     val store = LidsGraphBuilder.build(spark, profiles, spark.createDataset(scripts))

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.core.embed.TableEmbedding
 import repro.core.graph.Lids
-import repro.core.profile.DataProfiler
+import repro.core.profile.{ColumnProfile, DataProfiler}
 import repro.substrate.ml.OneLayerGnn
 import repro.substrate.rdf.{Term, TriplePattern, TripleStore}
 
@@ -25,16 +25,18 @@ final class GnnRecommender private (
   def predictFromEmbedding(emb: Array[Double]): String =
     classes(gnn.predict(emb))
 
-  /** §4.1 inference: profile the unseen DataFrame, aggregate its column
-    * CoLRs into the node embedding, classify.
+  /** §4.1 inference for a profiled table: aggregate its column CoLRs
+    * into the node embedding the model was trained on (over the
+    * missing-value columns when `missingOnly`), classify.
     */
-  def recommendForTable(spark: SparkSession, df: DataFrame): String = {
-    val profiles = DataProfiler.profileTable(spark, "unseen", "t", df)
-    val emb =
+  def recommend(profiles: Seq[ColumnProfile]): String =
+    predictFromEmbedding(
       if (missingOnly) TableEmbedding.forMissingValueColumns(profiles)
-      else TableEmbedding.fromProfiles(profiles)
-    predictFromEmbedding(emb)
-  }
+      else TableEmbedding.fromProfiles(profiles))
+
+  /** §4.1 inference: profile the unseen DataFrame, then [[recommend]]. */
+  def recommendForTable(spark: SparkSession, df: DataFrame): String =
+    recommend(DataProfiler.profileTable(spark, "unseen", "t", df))
 }
 
 object GnnRecommender {

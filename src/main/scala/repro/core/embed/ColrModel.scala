@@ -46,16 +46,12 @@ object ColrModel {
     if (values.isEmpty) return Array.fill(Dim)(0.0)
     fgType match {
       case FineGrainedType.Int | FineGrainedType.Float =>
-        embedNumeric(values.flatMap(parseDouble))
+        embedNumeric(values.flatMap(ColumnStats.finiteDouble))
       case FineGrainedType.Date    => embedDate(values)
       case FineGrainedType.Boolean => embedBoolean(values)
       case _                       => embedText(values)
     }
   }
-
-  private def parseDouble(s: String): Option[Double] =
-    try { val d = s.toDouble; if (d.isNaN || d.isInfinite) None else Some(d) }
-    catch { case _: NumberFormatException => None }
 
   private def hashInto(sketch: Array[Double], key: String, weight: Double): Unit = {
     val h   = MurmurHash3.stringHash(key)

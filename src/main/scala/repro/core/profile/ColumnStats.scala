@@ -28,14 +28,18 @@ object ColumnStats {
     else vals.count(isTrue).toDouble / vals.size
   }
 
+  /** A cell as a finite number: None when it is null, does not parse,
+    * or is NaN or infinite.
+    */
+  def finiteDouble(v: String): Option[Double] =
+    try Option(v).map(_.trim.toDouble).filterNot(d => d.isNaN || d.isInfinite)
+    catch { case _: NumberFormatException => None }
+
   /** (mean, std, min, max) over the numeric-parsable sample values;
     * all zero when nothing parses.
     */
   def numericStats(sample: Seq[String]): (Double, Double, Double, Double) = {
-    val nums = sample.flatMap { v =>
-      try Option(v).map(_.trim.toDouble).filterNot(d => d.isNaN || d.isInfinite)
-      catch { case _: NumberFormatException => None }
-    }
+    val nums = sample.flatMap(finiteDouble)
     if (nums.isEmpty) (0.0, 0.0, 0.0, 0.0)
     else {
       val mean = nums.sum / nums.size

@@ -4,6 +4,7 @@ import scala.collection.mutable
 import scala.collection.parallel.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast, SpecificInternalRow, XxHash64Function}
 import org.apache.spark.sql.catalyst.util.HyperLogLogPlusPlusHelper
 import org.apache.spark.sql.execution.SQLExecution
@@ -74,20 +75,19 @@ object DataProfiler {
       Math.floorMod(XxHash64Function.hash(row, LongType, gateSeed), 100L) < samplePct ||
         row < minSample
 
-    def add(row: Long, value: String): Unit = {
+    /** Spark's bytes go to the sketch as they are; only in-sample values become Strings. */
+    def add(row: Long, value: UTF8String): Unit = {
       total += 1
       if (value != null) {
         nonNull += 1
-        hll.update(sketch, 0, UTF8String.fromString(value), StringType)
+        hll.update(sketch, 0, value, StringType)
         if (inSample(row)) {
           if (sampleRows.nonEmpty && row < sampleRows.last) inRowOrder = false
           sampleRows += row
-          sampleVals += value
+          sampleVals += value.toString
         }
       }
     }
-
-    def distinct: Long = hll.query(sketch, 0)
 
     /** The in-sample non-null values in row order: the scan's order,
       * unless the cells arrived out of row order.
@@ -96,12 +96,14 @@ object DataProfiler {
       if (inRowOrder) sampleVals.toSeq
       else sampleRows.indices.sortBy(sampleRows).map(sampleVals)
 
-    def profile: ColumnProfile = profileGroup(dataset, table, column, total, nonNull, distinct, sample)
+    def profile: ColumnProfile =
+      profileGroup(dataset, table, column, total, nonNull, hll.query(sketch, 0), sample)
   }
 
   /** Turn a regular DataFrame into profiler cells. Every column is cast
     * to string; `row` is a per-table ordinal used for deterministic
-    * sampling.
+    * sampling. No program path profiles through it: it is the reference
+    * that [[profileTable]] is tested against, in order and bit for bit.
     */
   def cellsOf(spark: SparkSession, datasetName: String, tableName: String,
               df: DataFrame): DataFrame = {
@@ -120,19 +122,23 @@ object DataProfiler {
       )
   }
 
-  /** Scan a cells DataFrame in one Spark job: one [[ColumnScan]] per
-    * column, in order of first appearance.
-    */
+  /** One Spark job over the frame's plan, kept as Spark's internal rows: no `Row` decoding. */
+  private def collectInternal(df: DataFrame, name: String): Array[InternalRow] =
+    SQLExecution.withNewExecutionId(df.queryExecution, Some(name))(
+      df.queryExecution.executedPlan.executeCollect())
+
+  /** Scan a cells DataFrame in one Spark job: one [[ColumnScan]] per column, in first-seen order. */
   private[profile] def scan(cells: DataFrame, samplePct: Int, minSample: Int): Seq[ColumnScan] = {
-    val columns = mutable.LinkedHashMap.empty[(String, String, String), ColumnScan]
-    cells
-      .select(col("dataset"), col("table"), col("column"), col("row"), col("value"))
-      .collect()
-      .foreach { r =>
-        val key = (r.getString(0), r.getString(1), r.getString(2))
-        columns.getOrElseUpdate(key, new ColumnScan(key._1, key._2, key._3, samplePct, minSample))
-          .add(r.getLong(3), r.getString(4))
-      }
+    val columns = mutable.LinkedHashMap.empty[(UTF8String, UTF8String, UTF8String), ColumnScan]
+    collectInternal(cells.select("dataset", "table", "column", "row", "value"), "profile").foreach { r =>
+      val key = (r.getUTF8String(0), r.getUTF8String(1), r.getUTF8String(2))
+      columns.getOrElse(key, {
+        val (d, t, c) = (key._1.clone(), key._2.clone(), key._3.clone())
+        val s = new ColumnScan(d.toString, t.toString, c.toString, samplePct, minSample)
+        columns((d, t, c)) = s
+        s
+      }).add(r.getLong(3), r.getUTF8String(4))
+    }
     columns.values.toSeq
   }
 
@@ -179,18 +185,18 @@ object DataProfiler {
     )
   }
 
-  /** Convenience: profile a single in-memory DataFrame (the automation
-    * inference path — "the GNN model takes the unseen dataset in the
+  /** Profile a single in-memory DataFrame: the profiles of [[cellsOf]]
+    * the frame, in frame column order. Both automation paths profile
+    * this way, the training frames of the KG and the unseen frame at
+    * inference (§4.1: "the GNN model takes the unseen dataset in the
     * form of a DataFrame and calculates the CoLR embedding per column").
-    * The profiles of [[cellsOf]] the frame, by column name. Spark runs
-    * one job, which reads each row once with its ordinal; the values are
-    * cast to string on the driver by Spark's own `Cast`.
+    * Spark runs one job, which reads each row once with its ordinal; the
+    * values are cast to string on the driver by Spark's own `Cast`.
     */
   def profileTable(spark: SparkSession, datasetName: String, tableName: String,
                    df: DataFrame): Seq[ColumnProfile] = {
-    val qe = df.select(monotonically_increasing_id() +: df.columns.map(c => col(s"`$c`")): _*)
-      .queryExecution
-    val rows = SQLExecution.withNewExecutionId(qe, Some("profileTable"))(qe.executedPlan.executeCollect())
+    val rows = collectInternal(
+      df.select(monotonically_increasing_id() +: df.columns.map(c => col(s"`$c`")): _*), "profileTable")
     if (rows.isEmpty) return Nil
     val zone     = Some(spark.conf.get(SQLConf.SESSION_LOCAL_TIMEZONE.key))
     val asString = df.schema.fields.zipWithIndex.map { case (f, i) =>
@@ -199,11 +205,8 @@ object DataProfiler {
     val scans = df.columns.map(new ColumnScan(datasetName, tableName, _, SamplePct, MinSample))
     rows.foreach { r =>
       val row = r.getLong(0)
-      scans.indices.foreach { i =>
-        val v = asString(i).eval(r)
-        scans(i).add(row, if (v == null) null else v.toString)
-      }
+      scans.indices.foreach(i => scans(i).add(row, asString(i).eval(r).asInstanceOf[UTF8String]))
     }
-    scans.toSeq.par.map(_.profile).seq.sortBy(_.columnName)
+    scans.toSeq.par.map(_.profile).seq
   }
 }

@@ -3,8 +3,8 @@ package repro.core.discovery
 import org.apache.spark.sql.functions.lit
 
 import repro.{Oracle, SparkSpec}
-import repro.core.automl.HyperparamRecommender
-import repro.core.graph.{GraphLinker, Lids, LidsGraphBuilder, SchemaBuilder}
+import repro.core.automl.{AutomationTrainer, HyperparamRecommender}
+import repro.core.graph.{GraphLinker, Lids, SchemaBuilder}
 import repro.core.pipeline.PipelineAbstraction
 import repro.core.profile.DataProfiler
 import repro.data.{MlDatasets, PipelineCorpus}
@@ -18,15 +18,15 @@ class PipelineOpsSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val datasets = MlDatasets.cleaningTrainingCorpus(2)
-  private lazy val profiles = DataProfiler.profile(datasets.map { d =>
-    DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark))
-  }.reduce(_ union _))
+  /** The LiDS graph and its profiles as the automation trainer builds
+    * them; the oracles read the store's own triples.
+    */
+  private lazy val (store, profilesByTable) = AutomationTrainer.buildKg(spark, datasets, 3, 9)
+  /** The profiles in the order `buildKg` profiles its datasets. */
+  private lazy val profiles = datasets.flatMap(d => profilesByTable(s"${d.name}/data"))
+  /** The pipelines `buildKg` abstracts. */
   private lazy val scripts = spark.createDataset(
     PipelineCorpus.forDatasets(datasets.map(PipelineCorpus.refOf), 3, seed = 9))
-  /** The LiDS graph as `AutomationTrainer.buildKg` builds it; the oracles
-    * read the store's own triples.
-    */
-  private lazy val store = LidsGraphBuilder.build(spark, profiles, scripts)
   private def triples = store.triples.toDF()
 
   test("the store is the schema's triples, then the linked pipelines', in order") {
@@ -34,6 +34,11 @@ class PipelineOpsSpec extends SparkSpec {
       GraphLinker.link(spark, PipelineAbstraction.abstractCorpus(spark, scripts), profiles.toDS())
         .collect()
     assert(store.triples == expected)
+  }
+  test("the store's schema triples equal those of the training frames' cells, in order") {
+    val cells  = datasets.map(d => DataProfiler.cellsOf(spark, d.name, "data", d.generate(spark)))
+    val schema = SchemaBuilder.triples(DataProfiler.profile(cells.reduce(_ union _)))
+    assert(schema.nonEmpty && store.triples.take(schema.size) == schema)
   }
 
   test("get_top_k_library_used ranks pandas and sklearn at the top") {

@@ -15,8 +15,7 @@ class GraphLinkerSpec extends SparkSpec {
     (4, "male", 35.0, 0), (5, "male", 28.0, 1),
   ).toDF("PassengerId", "Sex", "Age", "Survived")
 
-  private lazy val profiles = DataProfiler.profile(
-    DataProfiler.cellsOf(spark, "titanic", "train", trainDf))
+  private lazy val profiles = DataProfiler.profileTable(spark, "titanic", "train", trainDf)
 
   private val script =
     """import pandas as pd

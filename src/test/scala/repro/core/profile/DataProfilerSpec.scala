@@ -1,7 +1,8 @@
 package repro.core.profile
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
 
 import repro.{Oracle, SparkSpec}
 import repro.core.embed.{ColrModel, TableEmbedding}
@@ -95,14 +96,38 @@ class DataProfilerSpec extends SparkSpec {
       "customers.age", "customers.country", "customers.review", "customers.active",
       "customers.signup_date", "orders.order_id", "orders.total"))
   }
+  /** One column of each type the driver `Cast` renders, every 7th
+    * value null, over 3 partitions; the names do not sort in frame order.
+    */
+  private lazy val typed = {
+    val id = col("id")
+    def someNull(c: Column) = when(id % 7 =!= 3, c)
+    spark.range(0, 120, 1, 3).select(
+      someNull((id - 60).cast(ByteType)).as("b"),
+      someNull((id * 311 - 9000).cast(ShortType)).as("s"),
+      someNull((id * 7777777 - 400000000).cast(IntegerType)).as("i"),
+      someNull(id * 1234567890123L - 99999999999999L).as("l"),
+      someNull((id / 7).cast(FloatType)).as("f"),
+      someNull(pow(lit(10.0), id / 4 - 15) * 1.2345).as("d"),
+      someNull((id / 3 - 20).cast(DecimalType(10, 2))).as("dec"),
+      someNull(id % 3 === 0).as("bool"),
+      someNull(concat(lit("v "), (id % 5).cast(StringType))).as("str"),
+      someNull(date_add(lit(java.sql.Date.valueOf("2019-12-30")), (id * 13).cast(IntegerType))).as("date"),
+      someNull(timestamp_seconds(id * 86461 + 1577836800L)).as("ts"),
+    )
+  }
+
   test("profileTable equals the profiles of the frame's cells") {
     val horse = MlDatasets.cleaningBenchmark(1)
-    val frames = Seq("customers" -> df, horse.name -> horse.generate(spark).repartition(3).cache())
+    assert(typed.rdd.getNumPartitions == 3)
+    val frames = Seq("customers" -> df, "typed" -> typed,
+                     horse.name -> horse.generate(spark).repartition(3).cache())
     frames.foreach { case (name, frame) =>
       val got  = DataProfiler.profileTable(spark, "shop", name, frame)
       val want = DataProfiler.profile(DataProfiler.cellsOf(spark, "shop", name, frame))
-      assert(got.size == frame.columns.length && got.exists(_.nullCount > 0))
-      got.zip(want.sortBy(_.columnName)).foreach { case (a, b) => assertSameProfile(a, b) }
+      assert(got.map(_.columnName) == frame.columns.toSeq && got.exists(_.nullCount > 0))
+      assert(got.size == want.size)
+      got.zip(want).foreach { case (a, b) => assertSameProfile(a, b) }
     }
     frames.last._2.unpersist()
   }
